@@ -2,15 +2,17 @@
 
 A sector integrand (monomial exponents a_i + b_i*eps per variable, factor
 polynomials with positive constant term raised to d_j + f_j*eps) is first
-split exactly: for every variable with a_i <= -1 the factor product is
-Taylor-subtracted in that variable and the subtracted terms are integrated
-with 1/(a+p+1+b*eps).  The result is a list of pieces, each an exact
-rational function of eps times a residual integrand plus a record of pending
-Taylor subtractions.  Pieces are then expanded order by order in eps into
-sums of terms built from integer powers of the variables and factor
-polynomials and nonnegative powers of their logarithms - the closure class
-of rational functions and logarithms of rational functions with rational
-coefficients.
+split exactly: for every variable with a_i <= -1 each Taylor coefficient of
+the factor product in that variable is integrated with 1/(a+p+1+b*eps), and
+subtracted again by a counter piece.  The result is a list of pieces, each
+an exact rational function of eps times a residual integrand; a piece alone
+may be singular, but the pieces of one sector sum to an integrable
+integrand.  Pieces are then expanded order by order in eps into sums of
+terms built from integer powers of the variables and factor polynomials and
+nonnegative powers of their logarithms - the closure class of rational
+functions and logarithms of rational functions with rational coefficients.
+The terms of one sector and order are normalised together in
+:class:`FiniteIntegrand`, where the Taylor subtractions take effect.
 """
 
 from __future__ import annotations
@@ -26,43 +28,27 @@ from .errors import DivergenceError, FeynsecError
 from .poly import Poly
 
 
-def _poly_key(q: Poly):
-    return tuple(sorted((e, str(c)) for e, c in q.coeffs.items()))
-
-
 def _merge_factors(factors):
-    """Canonical factor list; like polynomials merge, unit exponents drop."""
+    """Canonical factor list; like polynomials merge, zero exponents drop."""
     acc: dict = {}
     for q, exp in factors:
-        key = _poly_key(q)
-        if key in acc:
-            old_q, old_exp = acc[key]
-            acc[key] = (old_q, old_exp + exp)
-        else:
-            acc[key] = (q, exp)
-    out = []
-    for key in sorted(acc):
-        q, exp = acc[key]
-        if exp.a == 0 and exp.b == 0:
-            continue
-        out.append((q, exp))
-    return tuple(out)
+        acc[q] = acc[q] + exp if q in acc else exp
+    return tuple((q, exp) for q, exp in sorted(acc.items()) if exp.a or exp.b)
 
 
 @dataclass(frozen=True)
 class Piece:
-    """Exact eps-rational prefactor times a residual hypercube integrand.
+    """Exact eps-rational prefactor times a hypercube integrand.
 
-    ``monomials[i]`` is None once variable i has been integrated out.
-    ``subtractions`` lists (variable, depth) Taylor subtractions still to be
-    applied to the factor product, in application order.
+    ``monomials[i]`` is None once variable i has been integrated out.  A
+    piece may be singular in a variable on its own; only the sum of the
+    pieces ``extract_poles`` returns for one sector is integrable.
     """
 
     nvars: int
     pref: EpsRat
     monomials: tuple
     factors: tuple
-    subtractions: tuple = ()
 
 
 # ---------------------------------------------------------------------------
@@ -111,13 +97,16 @@ def _set_zero_terms(terms, i):
 
 
 def extract_poles(sector) -> list[Piece]:
-    """Split a monomialised sector into exactly-integrated pole pieces.
+    """Split a monomialised sector into pieces that sum to it.
 
-    Variables are processed in ascending index order; for a variable with
-    monomial exponent a + b*eps and a <= -1 the Taylor terms of order
-    p < |a| are integrated via 1/(a+p+1+b*eps) and the remainder keeps a
-    subtraction marker of depth |a|.  Terms whose Taylor coefficient
-    vanishes are dropped before the ``b = 0`` divergence check fires.
+    Variables are processed in ascending index order.  For a variable x_i
+    with monomial exponent a + b*eps and a <= -1, every term c of the order
+    p < |a| Taylor coefficient of the factor product at x_i = 0 yields two
+    pieces: the pole piece c/(p! (a+p+1+b*eps)), its exact x_i integral, and
+    the counter piece -c/p! x_i^(a+p+b*eps), which subtracts it again.  The
+    parent piece passes on unchanged; with its counter pieces it is
+    integrable in x_i.  Terms whose Taylor coefficient vanishes are dropped
+    before the ``b = 0`` divergence check fires.
     """
     start = Piece(
         nvars=sector.nvars,
@@ -129,35 +118,30 @@ def extract_poles(sector) -> list[Piece]:
     for i in range(start.nvars):
         nxt: list[Piece] = []
         for piece in pieces:
+            nxt.append(piece)
             exp = piece.monomials[i]
             if exp is None or exp.a >= 0:
-                nxt.append(piece)
                 continue
             a, b = exp.a, exp.b
             depth = -a
-            # Taylor terms integrated exactly
             terms = [(piece.pref, piece.factors)]
+            before, after = piece.monomials[:i], piece.monomials[i + 1:]
             for p in range(depth):
                 coeff_terms = _set_zero_terms(terms, i)
-                if coeff_terms:
-                    if a + p + 1 == 0 and b == 0:
-                        raise DivergenceError(
-                            f"variable {i} carries x^{a} with no eps regulator")
-                    inv_fact = Fraction(1, _factorial(p))
-                    for pref, factors in coeff_terms:
-                        mono = list(piece.monomials)
-                        mono[i] = None
-                        nxt.append(replace(
-                            piece,
-                            pref=pref * inv_fact * EpsRat.linear_inverse(a + p + 1, b),
-                            monomials=tuple(mono),
-                            factors=factors,
-                        ))
+                if coeff_terms and a + p + 1 == 0 and b == 0:
+                    raise DivergenceError(
+                        f"variable {i} carries x^{a} with no eps regulator")
+                inv_fact = Fraction(1, _factorial(p))
+                for pref, factors in coeff_terms:
+                    nxt.append(Piece(piece.nvars,
+                                     pref * inv_fact * EpsRat.linear_inverse(a + p + 1, b),
+                                     before + (None,) + after, factors))
+                    nxt.append(Piece(piece.nvars, pref * -inv_fact,
+                                     before + (exp.shift(p),) + after, factors))
                 if p + 1 < depth:
                     terms = _dx_factor_terms(terms, i)
                     if not terms:
                         break
-            nxt.append(replace(piece, subtractions=piece.subtractions + ((i, depth),)))
         pieces = nxt
     return pieces
 
@@ -184,9 +168,7 @@ class Term:
     flogs: tuple  # ((Poly, int), ...)
 
     def key(self):
-        return (self.xpows, self.xlogs,
-                tuple((_poly_key(q), d) for q, d in self.fpows),
-                tuple((_poly_key(q), c) for q, c in self.flogs))
+        return (self.xpows, self.xlogs, self.fpows, self.flogs)
 
     def scaled(self, c) -> "Term":
         return replace(self, coeff=self.coeff * c)
@@ -227,8 +209,8 @@ def _normalize_terms(terms) -> tuple:
                 flogs.append((q, c))
         if dead or coeff == 0:
             continue
-        fpows.sort(key=lambda qd: (_poly_key(qd[0]), qd[1]))
-        flogs.sort(key=lambda qc: (_poly_key(qc[0]), qc[1]))
+        fpows.sort()
+        flogs.sort()
         base = replace(t, coeff=coeff, fpows=tuple(fpows), flogs=tuple(flogs))
         if numerator is None:
             folded.append(base)
@@ -243,80 +225,15 @@ def _normalize_terms(terms) -> tuple:
             acc[k] = replace(acc[k], coeff=acc[k].coeff + t.coeff)
         else:
             acc[k] = t
-    return tuple(sorted((t for t in acc.values() if t.coeff != 0),
-                        key=lambda t: t.key()))
+    return tuple(sorted((t for t in acc.values() if t.coeff != 0), key=Term.key))
 
 
-def _dx_term(t: Term, i: int) -> list[Term]:
-    """d/dx_i of the factor part of a term (x-monomial and x-log parts of
-    variable i are wrapper material and must not appear here)."""
-    out = []
-    for k, (q, d) in enumerate(t.fpows):
-        dq = q.derivative(i)
-        if not dq:
-            continue
-        fp = list(t.fpows)
-        fp[k] = (q, d - 1)
-        fp.append((dq, 1))
-        out.append(replace(t, coeff=t.coeff * d, fpows=tuple(fp)))
-    for k, (q, c) in enumerate(t.flogs):
-        dq = q.derivative(i)
-        if not dq:
-            continue
-        fl = list(t.flogs)
-        fl[k] = (q, c - 1)
-        fp = list(t.fpows) + [(dq, 1), (q, -1)]
-        out.append(replace(t, coeff=t.coeff * c, fpows=tuple(fp), flogs=tuple(fl)))
-    return out
+def expand_piece(piece: Piece, target_order: int) -> dict[int, list]:
+    """Laurent-expand a piece; returns {order: list of unnormalised Terms}.
 
-
-def _term_set_zero(t: Term, i: int) -> Term | None:
-    fpows, flogs = [], []
-    coeff = t.coeff
-    for q, d in t.fpows:
-        q0 = q.set_zero(i)
-        if not q0:
-            return None
-        fpows.append((q0, d))
-    for q, c in t.flogs:
-        q0 = q.set_zero(i)
-        if not q0:
-            return None  # log of zero cannot appear; factors have c > 0
-        flogs.append((q0, c))
-    return replace(t, coeff=coeff, fpows=tuple(fpows), flogs=tuple(flogs))
-
-
-def _subtract_taylor(terms, i: int, depth: int) -> list[Term]:
-    """Replace each term by (term - its Taylor polynomial in x_i up to depth-1).
-
-    The x_i-monomial power and log(x_i) powers stay attached as a wrapper;
-    only the factor product is expanded.
+    The terms are normalised only once all pieces of the sector have been
+    expanded, by :class:`FiniteIntegrand`.
     """
-    out = []
-    for t in terms:
-        out.append(t)
-        current = [replace(t, coeff=Fraction(1))]
-        base_coeff = t.coeff
-        for p in range(depth):
-            inv_fact = Fraction(1, _factorial(p))
-            for d_term in current:
-                at0 = _term_set_zero(d_term, i)
-                if at0 is None or at0.coeff == 0:
-                    continue
-                xp = list(t.xpows)
-                xp[i] += p
-                out.append(replace(at0,
-                                   coeff=-base_coeff * at0.coeff * inv_fact,
-                                   xpows=tuple(xp)))
-            if p + 1 < depth:
-                current = [d for dt in current for d in _dx_term(dt, i)]
-                if not current:
-                    break
-    return out
-
-
-def expand_piece(piece: Piece, target_order: int) -> dict[int, tuple]:
-    """Laurent-expand a piece; returns {order: normalized Term tuple}."""
     if piece.pref.is_zero():
         return {}
     low = piece.pref.lowest_order()
@@ -344,9 +261,6 @@ def expand_piece(piece: Piece, target_order: int) -> dict[int, tuple]:
         series = _convolve_log(series, depth, exp.b,
                                lambda t, k, q=q: replace(t, flogs=t.flogs + ((q, k),)))
 
-    for i, sub_depth in piece.subtractions:
-        series = {k: _subtract_taylor(terms, i, sub_depth) for k, terms in series.items()}
-
     laurent = piece.pref.laurent(target_order)
     out: dict[int, list[Term]] = {}
     for o, c in laurent.items():
@@ -356,8 +270,7 @@ def expand_piece(piece: Piece, target_order: int) -> dict[int, tuple]:
             if o + k > target_order:
                 continue
             out.setdefault(o + k, []).extend(t.scaled(c) for t in terms)
-    return {order: _normalize_terms(terms) for order, terms in sorted(out.items())
-            if _normalize_terms(terms)}
+    return out
 
 
 def _convolve_log(series, depth, weight, attach):
@@ -423,13 +336,7 @@ class FiniteIntegrand:
 
     def compile(self):
         """Vectorized evaluator mapping an (n, nvars) array to an (n,) array."""
-        polys: dict = {}
-        for t in self.terms:
-            for q, _d in t.fpows:
-                polys.setdefault(_poly_key(q), q)
-            for q, _c in t.flogs:
-                if not q.is_constant():
-                    polys.setdefault(_poly_key(q), q)
+        polys = {q for t in self.terms for q, _k in t.fpows + t.flogs if not q.is_constant()}
         plan = []
         for t in self.terms:
             coeff = float(t.coeff)
@@ -438,13 +345,12 @@ class FiniteIntegrand:
                 if q.is_constant():
                     coeff *= _mlog(float(q.constant_term())) ** c
                 else:
-                    flogs.append((_poly_key(q), c))
-            plan.append((coeff, t.xpows, t.xlogs,
-                         tuple((_poly_key(q), d) for q, d in t.fpows), tuple(flogs)))
+                    flogs.append((q, c))
+            plan.append((coeff, t.xpows, t.xlogs, t.fpows, tuple(flogs)))
 
         def evaluate(x: np.ndarray) -> np.ndarray:
             n = x.shape[0]
-            pvals = {key: q.eval_array(x) for key, q in polys.items()}
+            pvals = {q: q.eval_array(x) for q in polys}
             need_logx = any(any(xl) for _c, _xp, xl, _fp, _fl in plan)
             logx = np.log(x) if (need_logx and x.shape[1]) else None
             plogs = {}
@@ -457,12 +363,12 @@ class FiniteIntegrand:
                 for i, k in enumerate(xl):
                     if k:
                         v = v * logx[:, i] ** k
-                for key, d in fp:
-                    v = v * pvals[key] ** d
-                for key, c in fl:
-                    if key not in plogs:
-                        plogs[key] = np.log(pvals[key])
-                    v = v * plogs[key] ** c
+                for q, d in fp:
+                    v = v * pvals[q] ** d
+                for q, c in fl:
+                    if q not in plogs:
+                        plogs[q] = np.log(pvals[q])
+                    v = v * plogs[q] ** c
                 total += v
             return total
 

@@ -141,7 +141,3 @@ class EpsSeries:
         rows = ", ".join(f"eps^{o}: {float(v):.6g} +- {e:.2g}" for o, (v, e, _x) in sorted(self._coeffs.items()))
         return f"EpsSeries({rows})"
 
-
-def assemble(contributions, lowest=None, highest=None) -> EpsSeries:
-    """Module-level alias for EpsSeries.from_contributions."""
-    return EpsSeries.from_contributions(contributions, lowest, highest)

@@ -28,7 +28,7 @@ class Poly:
     ``coeffs`` maps exponent tuples (length ``nvars``) to nonzero Fractions.
     """
 
-    __slots__ = ("nvars", "coeffs", "_hash")
+    __slots__ = ("nvars", "coeffs", "_hash", "_key")
 
     def __init__(self, nvars: int, coeffs: Mapping[tuple[int, ...], RationalLike] | None = None):
         self.nvars = nvars
@@ -46,6 +46,7 @@ class Poly:
                 clean[exps] = clean.get(exps, Fraction(0)) + c
         self.coeffs = {e: c for e, c in clean.items() if c != 0}
         self._hash = None
+        self._key = None
 
     # -- constructors -------------------------------------------------
 
@@ -72,6 +73,15 @@ class Poly:
         if self._hash is None:
             self._hash = hash((self.nvars, frozenset(self.coeffs.items())))
         return self._hash
+
+    def __lt__(self, other: "Poly") -> bool:
+        """A total order, so factor lists and terms sort canonically."""
+        return self._sort_key() < other._sort_key()
+
+    def _sort_key(self):
+        if self._key is None:
+            self._key = (self.nvars, tuple(sorted(self.coeffs.items())))
+        return self._key
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)

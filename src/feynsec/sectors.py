@@ -17,7 +17,7 @@ from .epsilon import EpsExponent
 from .errors import DomainError, FeynsecError, StrategyError
 from .expansion import FiniteIntegrand, extract_poles, expand_piece
 from .graphs import FeynmanGraph, Kinematics, ParamIntegral, feynman_parametrize
-from .mcint import MCConfig, EpsSeries, assemble, integrate
+from .mcint import MCConfig, EpsSeries, integrate
 from .poly import Poly
 
 DEFAULT_ITERATION_CAP = 10_000
@@ -302,7 +302,7 @@ def pipeline(graph: FeynmanGraph, kin: Kinematics, m: int = 2, target_order: int
         contributions.append((order, est))
 
     lowest = min((o for o, _v in contributions), default=0)
-    series = assemble(contributions, lowest=lowest, highest=target_order)
+    series = EpsSeries.from_contributions(contributions, lowest=lowest, highest=target_order)
     diagnostics = {
         "primary_sectors": graph.n_edges,
         "final_sectors": len(final),

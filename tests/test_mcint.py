@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from feynsec.errors import IntegrandEvaluationError
-from feynsec.mcint import MCConfig, MCEstimate, assemble, integrate
+from feynsec.mcint import EpsSeries, MCConfig, MCEstimate, integrate
 
 
 def test_constant_integrand_exact():
@@ -57,12 +57,12 @@ def test_config_validation():
 
 
 def test_assemble_exact_cancellation():
-    series = assemble([(-1, Fraction(1)), (-1, Fraction(-1))])
+    series = EpsSeries.from_contributions([(-1, Fraction(1)), (-1, Fraction(-1))])
     assert series.coefficient(-1) == (Fraction(0), 0.0, True)
 
 
 def test_assemble_quadrature_errors():
-    series = assemble([(0, MCEstimate(0.5, 0.001, 10)), (0, MCEstimate(0.5, 0.001, 10))])
+    series = EpsSeries.from_contributions([(0, MCEstimate(0.5, 0.001, 10)), (0, MCEstimate(0.5, 0.001, 10))])
     value, err, exact = series.coefficient(0)
     assert value == pytest.approx(1.0)
     assert err == pytest.approx(math.sqrt(2) * 0.001)
@@ -70,18 +70,18 @@ def test_assemble_quadrature_errors():
 
 
 def test_assemble_empty():
-    series = assemble([])
+    series = EpsSeries.from_contributions([])
     assert series.orders() == []
 
 
 def test_assemble_fills_contiguous_orders():
-    series = assemble([(0, Fraction(1))], lowest=0, highest=2)
+    series = EpsSeries.from_contributions([(0, Fraction(1))], lowest=0, highest=2)
     assert series.orders() == [0, 1, 2]
     assert series.coefficient(1) == (Fraction(0), 0.0, True)
 
 
 def test_assemble_mixed_exact_and_mc():
-    series = assemble([(0, Fraction(1, 2)), (0, MCEstimate(0.25, 0.01, 100))])
+    series = EpsSeries.from_contributions([(0, Fraction(1, 2)), (0, MCEstimate(0.25, 0.01, 100))])
     value, err, exact = series.coefficient(0)
     assert value == pytest.approx(0.75)
     assert err == pytest.approx(0.01)

@@ -84,3 +84,16 @@ def test_eval_array_matches_exact():
     for row, v in zip(pts, vals):
         exact = float(p.eval_exact([Fraction(x).limit_denominator(10 ** 12) for x in row]))
         assert abs(exact - v) < 1e-9
+
+
+def test_order_is_total_and_independent_of_construction():
+    x = Poly.variable(2, 0)
+    y = Poly.variable(2, 1)
+    polys = [1 + x, 1 + y, x * y + Fraction(1, 2), 2 + x, 1 + x + y]
+    rebuilt = [Poly(2, dict(reversed(list(q.coeffs.items())))) for q in polys]
+    assert sorted(polys) == sorted(rebuilt)
+    assert sorted(polys) == sorted(reversed(polys))
+    for a in polys:
+        for b in polys:
+            assert (a < b) + (b < a) + (a == b) == 1
+    assert len({q: None for q in polys + rebuilt}) == len(polys)

@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy import integrate as sci
+from scipy.special import roots_legendre
 
 from feynsec.epsilon import EpsExponent, EpsRat
 from feynsec.errors import DivergenceError
@@ -58,6 +59,38 @@ def sector_quadrature(sector, eps, tol=1e-9):
     result, _err = sci.nquad(integrand, [(0, 1)] * sector.nvars,
                              opts={"epsabs": tol, "epsrel": tol})
     return result
+
+
+def cube_quadrature(f, dim, n=200):
+    """Gauss-Legendre product rule for a vectorised integrand on the unit
+    cube, after t = u^3 in every variable to tame logarithmic endpoints."""
+    u, w = roots_legendre(n)
+    u, w = (u + 1) / 2, w / 2
+    grid = np.stack([g.ravel() for g in np.meshgrid(*[u] * dim, indexing="ij")], axis=1)
+    weight = np.ones(len(grid))
+    for wk in np.meshgrid(*[w * 3 * u ** 2] * dim, indexing="ij"):
+        weight *= wk.ravel()
+    return float((f(grid ** 3) * weight).sum())
+
+
+def merged_integrands(pieces, nvars, order):
+    """{order: FiniteIntegrand} over the given pieces, merged per order as
+    ``pipeline`` merges the pieces of one sector."""
+    merged = {}
+    for piece in pieces:
+        for o, terms in expand_piece(piece, order).items():
+            merged.setdefault(o, []).extend(terms)
+    return {o: FiniteIntegrand(nvars, terms) for o, terms in sorted(merged.items())}
+
+
+def series_coefficients(sector, order):
+    """{order: float} for the sector's truncated Laurent series; exact where
+    the integrand is a rational constant, by quadrature otherwise."""
+    out = {}
+    for o, fi in merged_integrands(extract_poles(sector), sector.nvars, order).items():
+        exact = fi.exact_value()
+        out[o] = float(exact) if exact is not None else cube_quadrature(fi.compile(), sector.nvars)
+    return out
 
 
 # -- homogenize ------------------------------------------------------------------
@@ -250,12 +283,12 @@ def test_extract_single_pole_exact():
     # int_0^1 x^(-1+eps) dx -> 1/eps with empty remainder
     s = SectorIntegrand(nvars=1, monomials=(EpsExponent(-1, 1),), factors=())
     pieces = extract_poles(s)
-    pole = [p for p in pieces if not p.subtractions]
-    rem = [p for p in pieces if p.subtractions]
-    assert len(pole) == 1 and len(rem) == 1
+    pole = [p for p in pieces if p.monomials[0] is None]
+    rem = [p for p in pieces if p.monomials[0] is not None]
+    assert len(pole) == 1 and len(rem) == 2
     assert pole[0].pref.laurent(2) == {-1: 1, 0: 0, 1: 0, 2: 0}
-    # the remainder piece expands to nothing: f - f(0) = 0 for f = 1
-    assert expand_piece(rem[0], 3) == {}
+    # the remainder pieces cancel: f - f(0) = 0 for f = 1
+    assert all(not len(fi) for fi in merged_integrands(rem, 1, 3).values())
 
 
 def test_extract_single_subtraction_structure():
@@ -263,14 +296,16 @@ def test_extract_single_subtraction_structure():
     s = SectorIntegrand(nvars=1, monomials=(EpsExponent(-1, -1),),
                         factors=((Poly(1, {(0,): 1, (1,): 1}), EpsExponent(1, 0)),))
     pieces = extract_poles(s)
-    pole = [p for p in pieces if not p.subtractions][0]
+    (pole,) = [p for p in pieces if p.monomials[0] is None]
     assert pole.pref.laurent(0) == {-1: -1, 0: 0}  # f(0)/(-eps) with f(0) = 1
-    rem = [p for p in pieces if p.subtractions][0]
-    assert rem.subtractions == ((0, 1),)
+    rem = [p for p in pieces if p.monomials[0] is not None]
+    # the parent piece and the depth-1 counter piece -f(0) x^(-1-eps)
+    assert sorted(len(p.factors) for p in rem) == [0, 1]
+    (counter,) = [p for p in rem if not p.factors]
+    assert counter.monomials == (EpsExponent(-1, -1),)
+    assert counter.pref.laurent(0) == {0: -1}
     # remainder at order 0: x^(-1) * (f(x) - f(0)) = x^(-1) * x = 1; integral 1
-    terms = expand_piece(rem, 0)[0]
-    fi = FiniteIntegrand(1, terms)
-    assert fi.exact_value() == 1
+    assert merged_integrands(rem, 1, 0)[0].exact_value() == 1
 
 
 def test_extract_divergence_unregulated():
@@ -284,7 +319,46 @@ def test_extract_zero_coefficient_dropped_before_divergence():
     s = SectorIntegrand(nvars=1, monomials=(EpsExponent(-1, 0),),
                         factors=((Poly(1, {(1,): 1}), EpsExponent(1, 0)),))
     pieces = extract_poles(s)
-    assert all(p.subtractions for p in pieces)
+    assert len(pieces) == 1 and pieces[0].monomials[0] is not None
+
+
+def test_extract_depth_two_subtraction():
+    # int_0^1 x^(-2+eps) (1+x)^2 dx = 1/(eps-1) + 2/eps + 1/(1+eps)
+    #                               = 2/eps + 0 - 2 eps + O(eps^2)
+    s = SectorIntegrand(nvars=1, monomials=(EpsExponent(-2, 1),),
+                        factors=((Poly(1, {(0,): 1, (1,): 1}), EpsExponent(2, 0)),))
+    fis = merged_integrands(extract_poles(s), 1, 1)
+    assert fis[-1].exact_value() == 2
+    assert fis[0].exact_value() == 0
+    f = fis[1].compile()
+    val, _ = sci.quad(lambda t: f(np.array([[t]]))[0], 0, 1)
+    assert val == pytest.approx(-2, rel=1e-8)
+
+
+def test_extract_nested_subtractions_match_quadrature():
+    # x^(-1+eps) y^(-1+eps) (2 + x + y + xy)^(-1-2eps): both variables are
+    # subtracted, and the counter pieces of x are subtracted again in y
+    s = SectorIntegrand(
+        nvars=2, monomials=(EpsExponent(-1, 1), EpsExponent(-1, 1)),
+        factors=((Poly(2, {(0, 0): 2, (1, 0): 1, (0, 1): 1, (1, 1): 1}), EpsExponent(-1, -2)),))
+    coeffs = series_coefficients(s, 2)
+    assert coeffs[-2] == 0.5
+    for eps in (0.1, 0.2):
+        truncated = sum(c * eps ** o for o, c in coeffs.items())
+        # the first omitted coefficient is about 2
+        assert abs(sector_quadrature(s, eps) - truncated) < 3 * eps ** 3
+
+
+def test_extract_nested_depth_two_subtractions():
+    # int int x^(-2+eps) y^(-2+eps) (1+xy)^2 = 1/(eps-1)^2 + 2/eps^2 + 1/(eps+1)^2
+    #                                         = 2/eps^2 + 2 + 0 eps + O(eps^2).
+    # The y-derivative of the factor product, 2x(1+xy), vanishes at x = 0,
+    # but its x-derivative does not and must still be subtracted in x.
+    s = SectorIntegrand(nvars=2, monomials=(EpsExponent(-2, 1), EpsExponent(-2, 1)),
+                        factors=((Poly(2, {(0, 0): 1, (1, 1): 1}), EpsExponent(2, 0)),))
+    coeffs = series_coefficients(s, 1)
+    assert [coeffs.get(o, 0) for o in (-2, -1, 0)] == [2, 0, 2]
+    assert coeffs[1] == pytest.approx(0, abs=1e-8)
 
 
 def test_extract_triangle_double_pole():
