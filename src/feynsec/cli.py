@@ -30,7 +30,7 @@ from .errors import (DomainError, DivergenceError, EuclideanRegionError, Feynsec
                      KinematicsError, ScalelessError, StrategyError, TopologyError)
 from .graphs import FeynmanGraph, Kinematics
 from .hironaka import PointSet, play
-from .mcint import EpsSeries, MCConfig
+from .mcint import MCConfig
 from .sectors import decompose_graph, pipeline
 from .words import (LinComb, antipode_quasi, antipode_shuffle, coproduct,
                     lyndon_words, min_pairing_alphabet, quasi_shuffle, shuffle)
@@ -101,7 +101,7 @@ def cmd_evaluate(args) -> int:
         raise InputError(f"order {order} below the pole floor {-2 * graph.loops}")
     cfg = MCConfig(samples=args.samples, seed=args.seed)
     series, diagnostics = pipeline(graph, kin, m=job["dim_anchor"], target_order=order,
-                                   strategy=args.strategy, cfg=cfg, threads=_threads())
+                                   cfg=cfg, threads=_threads())
     if args.format == "json":
         doc = {
             "series": {str(o): [float(v), e] for o, v, e in series.as_rows()},
@@ -114,18 +114,10 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def series_from_json(text: str) -> EpsSeries:
-    doc = json.loads(text)
-    series = EpsSeries()
-    for key, (value, err) in doc["series"].items():
-        series._coeffs[int(key)] = (value, err, err == 0.0)
-    return series
-
-
 def cmd_decompose(args) -> int:
     job = load_job(args.jobfile)
     graph, kin = build_graph(job)
-    sectors = decompose_graph(graph, kin, m=job["dim_anchor"], strategy=args.strategy)
+    sectors = decompose_graph(graph, kin, m=job["dim_anchor"])
     for sector in sectors:
         monos = ", ".join(str(m) for m in sector.monomials)
         factors = " ".join(f"({q.as_string()})^({exp})" for q, exp in sector.factors)
@@ -143,8 +135,7 @@ def _parse_points(text: str) -> PointSet:
 
 def cmd_game(args) -> int:
     points = _parse_points(args.points)
-    moves, transcript = play(points, strategy_id=args.strategy, b_policy=args.b_policy,
-                             seed=args.seed)
+    moves, transcript = play(points, b_policy=args.b_policy, seed=args.seed)
     doc = {"moves": moves, "transcript": transcript}
     if args.format == "json":
         print(json.dumps(doc, sort_keys=True))
@@ -206,31 +197,28 @@ def cmd_polylog(args) -> int:
         raise InputError("empty expression")
     head, rest = tokens[0], tokens[1:]
     rel_tol = args.rel_tol
-    try:
-        if head == "Li" and len(rest) == 2:
-            value = pl.li_series(_parse_intlist(rest[0]), _parse_floatlist(rest[1]), rel_tol)
-        elif head == "Li2" and len(rest) == 1:
-            value = pl.li2_numeric(_parse_scalar(rest[0]))
-            rel_tol = 1e-14
-        elif head == "G" and len(rest) == 2:
-            value = pl.g_func(_parse_floatlist(rest[0]), _parse_scalar(rest[1]), rel_tol)
-        elif head == "Z" and len(rest) == 3:
-            n = None if rest[0] in ("inf", "oo") else int(rest[0])
-            value = pl.zsum(n, _parse_intlist(rest[1]),
-                            tuple(parse_rational(v) if "/" in v or v.lstrip("-").isdigit() else _parse_scalar(v)
-                                  for v in rest[2].split(",")))
-            if isinstance(value, Fraction):
-                print(f"{value} (exact)")
-                return 0
-        elif head == "H" and len(rest) == 2:
-            value = pl.hpl(_parse_intlist(rest[0]), _parse_scalar(rest[1]), rel_tol)
-        elif head == "S" and len(rest) == 3:
-            value = pl.nielsen(int(rest[0]), int(rest[1]), _parse_scalar(rest[2]), rel_tol)
-        else:
-            raise InputError(f"cannot parse expression {args.expression!r}")
-    except InputError:
-        raise
-    print(f"{value!r} +- {abs(complex(value)) * rel_tol:.3e}")
+    if head == "Li" and len(rest) == 2:
+        value = pl.li_series(_parse_intlist(rest[0]), _parse_floatlist(rest[1]), rel_tol)
+    elif head == "Li2" and len(rest) == 1:
+        value = pl.li2_numeric(_parse_scalar(rest[0]))
+        rel_tol = 1e-14
+    elif head == "G" and len(rest) == 2:
+        value = pl.g_func(_parse_floatlist(rest[0]), _parse_scalar(rest[1]), rel_tol)
+    elif head == "Z" and len(rest) == 3:
+        n = None if rest[0] in ("inf", "oo") else int(rest[0])
+        value = pl.zsum(n, _parse_intlist(rest[1]),
+                        tuple(parse_rational(v) if "/" in v or v.lstrip("-").isdigit() else _parse_scalar(v)
+                              for v in rest[2].split(",")))
+        if isinstance(value, Fraction):
+            print(f"{value} (exact)")
+            return 0
+    elif head == "H" and len(rest) == 2:
+        value = pl.hpl(_parse_intlist(rest[0]), _parse_scalar(rest[1]), rel_tol)
+    elif head == "S" and len(rest) == 3:
+        value = pl.nielsen(int(rest[0]), int(rest[1]), _parse_scalar(rest[2]), rel_tol)
+    else:
+        raise InputError(f"cannot parse expression {args.expression!r}")
+    print(f"{value!r} (rel_tol {rel_tol:g})")
     return 0
 
 
@@ -244,18 +232,15 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--strategy", default="pairdiff")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("decompose", help="print the monomialised sectors of a graph file")
     p.add_argument("jobfile")
-    p.add_argument("--strategy", default="pairdiff")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("game", help="play the polyhedra game from a point list")
     p.add_argument("--points", required=True, help="semicolon-separated points, e.g. '2,0;0,2'")
-    p.add_argument("--strategy", default="pairdiff")
     p.add_argument("--b-policy", default="random", dest="b_policy")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("text", "json"), default="json")

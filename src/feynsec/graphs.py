@@ -10,12 +10,13 @@ are canonicalised to the lexicographically smaller side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import random
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .epsilon import EpsExponent
-from .errors import EuclideanRegionError, KinematicsError, ScalelessError, TopologyError
+from .errors import (DomainError, EuclideanRegionError, KinematicsError, ScalelessError,
+                     TopologyError)
 from .poly import Poly
 
 
@@ -79,9 +80,8 @@ class FeynmanGraph:
         return tuple(sorted(label for _, label in self.externals))
 
 
-def _is_spanning_forest(graph: FeynmanGraph, edge_idx: tuple[int, ...], parts: int):
-    """Check a subset of edges for acyclicity with exactly ``parts`` components
-    covering all vertices; returns the component partition or None."""
+def _components(graph: FeynmanGraph, edge_idx):
+    """Vertex partition of a set of edges, or None if the edges close a cycle."""
     parent = {v: v for v in graph.vertices}
 
     def find(v):
@@ -92,70 +92,40 @@ def _is_spanning_forest(graph: FeynmanGraph, edge_idx: tuple[int, ...], parts: i
 
     for i in edge_idx:
         e = graph.edges[i]
-        if e.tail == e.head:
-            return None  # self-loop closes a cycle
         a, b = find(e.tail), find(e.head)
         if a == b:
-            return None
+            return None  # includes self-loops
         parent[a] = b
     roots = {}
     for v in graph.vertices:
         roots.setdefault(find(v), set()).add(v)
-    if len(roots) != parts:
-        return None
     return tuple(frozenset(s) for s in sorted(roots.values(), key=lambda s: min(s)))
 
 
 def _forest_subsets(graph: FeynmanGraph, size: int, parts: int):
     """All acyclic edge subsets of the given size with the given component count.
 
-    Brute force over subsets up to 12 edges; above that a delete/contract
-    recursion prunes the search (correctness first, both paths exact).
+    A recursion over edges in index order that drops every branch as soon
+    as its chosen edges close a cycle.
     """
-    if graph.n_edges <= 12:
-        for idx in combinations(range(graph.n_edges), size):
-            partition = _is_spanning_forest(graph, idx, parts)
-            if partition is not None:
-                yield frozenset(idx), partition
-        return
-
     out = []
 
     def rec(i, chosen):
         if len(chosen) == size:
-            partition = _is_spanning_forest(graph, tuple(chosen), parts)
-            if partition is not None:
+            partition = _components(graph, chosen)
+            if len(partition) == parts:
                 out.append((frozenset(chosen), partition))
             return
-        if i == graph.n_edges or graph.n_edges - i < size - len(chosen):
+        if graph.n_edges - i < size - len(chosen):
             return
         chosen.append(i)
-        if _acyclic(graph, chosen):
+        if _components(graph, chosen) is not None:
             rec(i + 1, chosen)
         chosen.pop()
         rec(i + 1, chosen)
 
-    def _acyclic(graph, chosen):
-        parent = {v: v for v in graph.vertices}
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for i in chosen:
-            e = graph.edges[i]
-            if e.tail == e.head:
-                return False
-            a, b = find(e.tail), find(e.head)
-            if a == b:
-                return False
-            parent[a] = b
-        return True
-
     rec(0, [])
-    yield from out
+    return out
 
 
 def spanning_trees(graph: FeynmanGraph) -> list[frozenset]:
@@ -260,23 +230,49 @@ def f_polynomial(graph: FeynmanGraph, kin: Kinematics) -> Poly:
 
 
 @dataclass
-class ParamIntegral:
-    """Feynman-parameter integral over the standard simplex.
+class GeneralIntegral:
+    """Integral over the standard simplex: per-variable monomial exponents
+    and a product of polynomial factors with eps-linear exponents.
 
-    monomial exponents are nu_j - 1; the two factors carry exponents
-    nu - (l+1)D/2 and -(nu - l D/2) with D = 2m - 2*eps, stored exactly.
+    Factors must be positive inside the open simplex.  Nonnegative
+    coefficients prove this; otherwise deterministic interior sampling is
+    used and ``positivity_uncertain`` is set instead of silently deciding.
     """
 
     nvars: int
-    monomials: list[EpsExponent]
-    factors: list[tuple[Poly, EpsExponent]]
-    loops: int
-    dim_anchor: int
-    graph: FeynmanGraph | None = field(default=None, repr=False)
+    monomials: list
+    factors: list
+    positivity_uncertain: bool = False
+
+    def __post_init__(self):
+        uncertain = False
+        for q, _exp in self.factors:
+            if not q:
+                raise DomainError("zero polynomial factor")
+            coeffs = list(q.coeffs.values())
+            if all(c >= 0 for c in coeffs):
+                continue
+            if all(c <= 0 for c in coeffs):
+                raise DomainError(f"factor {q.as_string()} is negative on the simplex")
+            rng = random.Random(20210914)
+            for _ in range(200):
+                raw = [Fraction(rng.randint(1, 997), 1000) for _ in range(self.nvars)]
+                total = sum(raw)
+                point = [r / total for r in raw]
+                if q.eval_exact(point) <= 0:
+                    raise DomainError(
+                        f"factor {q.as_string()} is not positive inside the simplex")
+            uncertain = True
+        self.positivity_uncertain = uncertain
 
 
-def feynman_parametrize(graph: FeynmanGraph, kin: Kinematics, m: int = 2) -> ParamIntegral:
-    """Build the parametric integral for D = 2m - 2*eps dimensions."""
+def feynman_parametrize(graph: FeynmanGraph, kin: Kinematics, m: int = 2) -> GeneralIntegral:
+    """Build the parametric integral for D = 2m - 2*eps dimensions.
+
+    The monomial exponents are nu_j - 1; U and F carry the exponents
+    nu - (l+1)m + (l+1)eps and -(nu - l m) - l eps.  Both factors are
+    homogeneous.
+    """
     if m < 1:
         raise ValueError("dimension anchor must be a positive integer")
     u = u_polynomial(graph)
@@ -287,9 +283,8 @@ def feynman_parametrize(graph: FeynmanGraph, kin: Kinematics, m: int = 2) -> Par
     exp_u = EpsExponent(nu - (l + 1) * m, l + 1)
     exp_f = EpsExponent(l * m - nu, -l)
     monomials = [EpsExponent(e.power - 1, 0) for e in graph.edges]
-    return ParamIntegral(nvars=graph.n_edges, monomials=monomials,
-                         factors=[(u, exp_u), (f, exp_f)], loops=l, dim_anchor=m,
-                         graph=graph)
+    return GeneralIntegral(nvars=graph.n_edges, monomials=monomials,
+                           factors=[(u, exp_u), (f, exp_f)])
 
 
 # -- convenience builders used by tests and the CLI ------------------------

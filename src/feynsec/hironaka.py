@@ -39,8 +39,8 @@ increases: the move maps the point set onto at most r points and the map
 preserves domination (if w <= z componentwise then the images again satisfy
 w' <= z'), so pruned generators cannot resurface.
 
-Default strategy ("pairdiff")
------------------------------
+Strategy ("pairdiff")
+---------------------
 Candidate moves are derived from generator pairs: for a pair with difference
 a, every index pair (i, j) with a_i > 0 > a_j gives S = {i, j}, extended when
 necessary by coordinates k with a_k = 0 until the move is legal (every
@@ -58,10 +58,6 @@ random-game suite (no failures over 96 000 games at the test scale of
 n <= 4, <= 6 points, coordinates <= 5, across three adversarial B policies;
 a failure has been observed at n = 6 with coordinates up to 12, outside the
 supported desk scale).
-
-"fullspread" plays all coordinates whose minimum and maximum over the
-generators differ.  On a pruned, unfinished position it is always legal, but
-it carries no measure certificate; exported as an experimental alternative.
 """
 
 from __future__ import annotations
@@ -73,7 +69,6 @@ from typing import Iterable, Sequence
 
 from .errors import DomainError, IllegalMoveError, StrategyError
 
-STRATEGIES = ("pairdiff", "fullspread")
 B_POLICIES = ("random", "max-coordinate", "min-coordinate")
 
 DEFAULT_MOVE_CAP = 10 ** 6
@@ -204,25 +199,20 @@ def _all_legal_subsets(pts: tuple):
                 yield frozenset(combo)
 
 
-def choose_subset(m: PointSet, strategy_id: str = "pairdiff") -> frozenset:
+def choose_subset(m: PointSet) -> frozenset:
     """Player A's subset for the current position (position must not be won)."""
-    if is_won(m):
-        raise DomainError("position already won; no move to choose")
     pts = m.pruned().points
-    if strategy_id == "pairdiff":
-        mu = game_measure(m)
-        seen = set()
-        for s in _pair_candidates(pts) + list(_all_legal_subsets(pts)):
-            if s in seen:
-                continue
-            seen.add(s)
-            if all(game_measure(apply_move(m, Move(s, l))) < mu for l in sorted(s)):
-                return s
-        raise StrategyError(f"no measure-certified move on {list(pts)}")
-    if strategy_id == "fullspread":
-        spread = [k for k in range(m.dim) if min(p[k] for p in pts) < max(p[k] for p in pts)]
-        return frozenset(spread)
-    raise DomainError(f"unknown strategy {strategy_id!r}; expected one of {STRATEGIES}")
+    if len(pts) == 1:
+        raise DomainError("position already won; no move to choose")
+    mu = game_measure(m)
+    seen = set()
+    for s in _pair_candidates(pts) + list(_all_legal_subsets(pts)):
+        if s in seen:
+            continue
+        seen.add(s)
+        if all(game_measure(apply_move(m, Move(s, l))) < mu for l in sorted(s)):
+            return s
+    raise StrategyError(f"no measure-certified move on {list(pts)}")
 
 
 # ---------------------------------------------------------------------------
@@ -254,19 +244,15 @@ def b_policy_fn(name: str, seed: int = 0):
     raise DomainError(f"unknown B policy {name!r}; expected one of {B_POLICIES}")
 
 
-def play(m: PointSet, strategy_id: str = "pairdiff", b_policy: str = "random",
-         seed: int = 0, move_cap: int = DEFAULT_MOVE_CAP, prune_each_move: bool = False,
-         check_measure: bool | None = None):
+def play(m: PointSet, b_policy: str = "random", seed: int = 0,
+         move_cap: int = DEFAULT_MOVE_CAP, prune_each_move: bool = False):
     """Run a full game; returns (move count, transcript).
 
     Transcript entries record the played subset, B's index, the surviving
-    point count and the measure after the move.  ``check_measure`` defaults
-    to True for pairdiff and raises StrategyError on any move that fails to
-    decrease the measure strictly (cannot happen unless certification is
-    broken; kept as a hard gate).
+    point count and the measure after the move.  The measure gate is always
+    on: any move that fails to decrease the measure strictly raises
+    StrategyError (cannot happen unless certification is broken).
     """
-    if check_measure is None:
-        check_measure = strategy_id == "pairdiff"
     picker = b_policy_fn(b_policy, seed)
     transcript = []
     state = m
@@ -275,14 +261,14 @@ def play(m: PointSet, strategy_id: str = "pairdiff", b_policy: str = "random",
     while not is_won(state):
         if moves >= move_cap:
             raise StrategyError(
-                f"strategy {strategy_id!r} exceeded {move_cap} moves; position {list(state.points)}")
-        subset = choose_subset(state, strategy_id)
+                f"strategy exceeded {move_cap} moves; position {list(state.points)}")
+        subset = choose_subset(state)
         index = picker(state, subset)
         state = apply_move(state, Move(subset, index))
         if prune_each_move:
             state = state.pruned()
         new_measure = game_measure(state)
-        if check_measure and not new_measure < measure:
+        if not new_measure < measure:
             raise StrategyError(
                 f"measure failed to decrease: {measure} -> {new_measure} "
                 f"after S={sorted(subset)}, i={index} on {list(state.points)}")
@@ -306,14 +292,11 @@ def newton_points(poly) -> PointSet:
     return PointSet(poly.support())
 
 
-def strategy_for_polynomial(poly, strategy_id: str = "pairdiff") -> frozenset:
+def strategy_for_polynomial(poly) -> frozenset:
     """Variable subset to blow up next, read off the Newton polyhedron.
 
     The polynomial must not already be of monomial-times-constant-plus-rest
     form; equivalently its pruned Newton point set must have two or more
-    generators.
+    generators (DomainError otherwise).
     """
-    pts = newton_points(poly)
-    if is_won(pts):
-        raise DomainError("polynomial is already monomialised; no strategy needed")
-    return choose_subset(pts, strategy_id)
+    return choose_subset(newton_points(poly))

@@ -8,6 +8,7 @@ configuration regardless of evaluation order or worker count.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -108,6 +109,18 @@ class EpsSeries:
                 series._coeffs[order] = (mean, math.sqrt(err2), False)
             else:
                 series._coeffs[order] = (exact.get(order, Fraction(0)), 0.0, True)
+        return series
+
+    @classmethod
+    def from_json(cls, text: str) -> "EpsSeries":
+        """Read the ``series`` object of ``feynsec evaluate --format json``.
+
+        Values come back as floats; a coefficient with zero error counts as
+        exact.
+        """
+        series = cls()
+        for key, (value, err) in json.loads(text)["series"].items():
+            series._coeffs[int(key)] = (value, err, err == 0.0)
         return series
 
     def orders(self) -> list[int]:

@@ -203,9 +203,6 @@ class Poly:
     def support(self) -> list[tuple[int, ...]]:
         return sorted(self.coeffs)
 
-    def depends_on(self, i: int) -> bool:
-        return any(e[i] for e in self.coeffs)
-
     # -- substitutions ---------------------------------------------------
 
     def rescale_subset(self, subset: Iterable[int], l: int) -> "Poly":

@@ -83,29 +83,6 @@ class MultiIndex:
         return sum(self.entries)
 
 
-@dataclass(frozen=True)
-class ZSum:
-    """A nested sum specification: upper limit (None = infinite), weight
-    vector, scale vector.  Infinite sums must satisfy the convergence
-    condition |x_1 ... x_j| <= 1 for every j with (m_1, x_1) != (1, 1)."""
-
-    limit: int | None
-    index: MultiIndex
-    scales: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "index", self.index if isinstance(self.index, MultiIndex)
-                           else MultiIndex(tuple(self.index)))
-        object.__setattr__(self, "scales", tuple(self.scales))
-        if len(self.scales) != self.index.depth:
-            raise DomainError("scale vector length must match the depth")
-        if self.limit is None:
-            _check_convergence(self.index.entries, self.scales)
-
-    def value(self, rel_tol: float = 1e-12):
-        return zsum(self.limit, self.index, self.scales, rel_tol)
-
-
 def zsum(n, m, x=None, rel_tol: float = 1e-12):
     """Nested sum over n >= i_1 > ... > i_k >= 1 of prod x_j^{i_j} / i_j^{m_j}.
 
@@ -234,10 +211,6 @@ def li_series(m, x, rel_tol: float = 1e-12, max_terms: int = 4_000_000):
     if all(abs(complex(v).imag) < 1e-300 for v in x):
         return total.real
     return total
-
-
-def li_classical(n: int, x, rel_tol: float = 1e-12):
-    return li_series((n,), (x,), rel_tol)
 
 
 def nielsen(n: int, p: int, x, rel_tol: float = 1e-12):

@@ -7,7 +7,6 @@ pole extraction and series expansion in :mod:`feynsec.expansion`.
 
 from __future__ import annotations
 
-import random as _random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -16,53 +15,11 @@ from . import hironaka
 from .epsilon import EpsExponent
 from .errors import DomainError, FeynsecError, StrategyError
 from .expansion import FiniteIntegrand, extract_poles, expand_piece
-from .graphs import FeynmanGraph, Kinematics, ParamIntegral, feynman_parametrize
+from .graphs import FeynmanGraph, GeneralIntegral, Kinematics, feynman_parametrize
 from .mcint import MCConfig, EpsSeries, integrate
 from .poly import Poly
 
 DEFAULT_ITERATION_CAP = 10_000
-
-
-@dataclass
-class GeneralIntegral:
-    """Integral over the standard simplex: per-variable monomial exponents
-    and a product of polynomial factors with eps-linear exponents.
-
-    Factors must be positive inside the open simplex.  Nonnegative
-    coefficients prove this; otherwise deterministic interior sampling is
-    used and ``positivity_uncertain`` is set instead of silently deciding.
-    """
-
-    nvars: int
-    monomials: list
-    factors: list
-    positivity_uncertain: bool = False
-
-    def __post_init__(self):
-        uncertain = False
-        for q, _exp in self.factors:
-            if not q:
-                raise DomainError("zero polynomial factor")
-            coeffs = list(q.coeffs.values())
-            if all(c >= 0 for c in coeffs):
-                continue
-            if all(c <= 0 for c in coeffs):
-                raise DomainError(f"factor {q.as_string()} is negative on the simplex")
-            rng = _random.Random(20210914)
-            for _ in range(200):
-                raw = [Fraction(rng.randint(1, 997), 1000) for _ in range(self.nvars)]
-                total = sum(raw)
-                point = [r / total for r in raw]
-                if q.eval_exact(point) <= 0:
-                    raise DomainError(
-                        f"factor {q.as_string()} is not positive inside the simplex")
-            uncertain = True
-        self.positivity_uncertain = uncertain
-
-
-def from_param_integral(p: ParamIntegral) -> GeneralIntegral:
-    return GeneralIntegral(nvars=p.nvars, monomials=list(p.monomials),
-                           factors=list(p.factors))
 
 
 def homogenize(j: GeneralIntegral) -> GeneralIntegral:
@@ -160,9 +117,9 @@ def primary_sectors(j: GeneralIntegral) -> list[SectorIntegrand]:
 def decompose_step(sector: SectorIntegrand, subset, l: int) -> SectorIntegrand:
     """One blow-up: x_i -> x_l * x_i for i in subset - {l}.
 
-    The Jacobian and each factor's extracted x_l content go into the
-    monomial exponent of x_l.  Already-monomialised factors stay
-    monomialised (asserted).
+    The Jacobian and each factor's extracted content go into the monomial
+    exponents; factors carry no content, so only x_l can gain any.
+    Already-monomialised factors stay monomialised (asserted).
     """
     s = sorted(set(subset))
     if l not in s:
@@ -175,12 +132,7 @@ def decompose_step(sector: SectorIntegrand, subset, l: int) -> SectorIntegrand:
     factors = []
     for q, exp in sector.factors:
         had_constant = q.constant_term() != 0
-        q2 = q.rescale_subset(s, l)
-        g = q2.content_exponents()[l]
-        if g:
-            lift = tuple(g if i == l else 0 for i in range(sector.nvars))
-            q2 = q2.divide_monomial(lift)
-            monomials[l] = monomials[l] + exp.scale(g)
+        q2 = _extract_content(sector.nvars, monomials, q.rescale_subset(s, l), exp)
         if had_constant:
             assert q2.constant_term() != 0, "substitution destroyed monomialised form"
         factors.append((q2, exp))
@@ -190,8 +142,7 @@ def decompose_step(sector: SectorIntegrand, subset, l: int) -> SectorIntegrand:
                    provenance=sector.provenance + (f"x[i]<-x[{l}]*x[i] for i in {s}",))
 
 
-def iterate_decomposition(sector: SectorIntegrand, strategy: str = "pairdiff",
-                          iteration_cap: int = DEFAULT_ITERATION_CAP,
+def iterate_decomposition(sector: SectorIntegrand, iteration_cap: int = DEFAULT_ITERATION_CAP,
                           check_game: bool = False) -> list[SectorIntegrand]:
     """Blow up until every factor has a nonzero constant term.
 
@@ -216,7 +167,7 @@ def iterate_decomposition(sector: SectorIntegrand, strategy: str = "pairdiff",
                 f"iteration cap {iteration_cap} exceeded; sector provenance "
                 f"{current.provenance}; Newton point sets {newtons}")
         poly = current.factors[k][0]
-        subset = hironaka.strategy_for_polynomial(poly, strategy)
+        subset = hironaka.strategy_for_polynomial(poly)
         children = [decompose_step(current, subset, l) for l in sorted(subset)]
         if check_game:
             parent_points = hironaka.PointSet(poly.support())
@@ -240,13 +191,11 @@ def iterate_decomposition(sector: SectorIntegrand, strategy: str = "pairdiff",
 # full pipeline
 # ---------------------------------------------------------------------------
 
-def decompose_graph(graph: FeynmanGraph, kin: Kinematics, m: int = 2,
-                    strategy: str = "pairdiff") -> list[SectorIntegrand]:
+def decompose_graph(graph: FeynmanGraph, kin: Kinematics, m: int = 2) -> list[SectorIntegrand]:
     """Parametrize, split into primary sectors, and monomialise everything."""
-    j = homogenize(from_param_integral(feynman_parametrize(graph, kin, m)))
     final = []
-    for prim in primary_sectors(j):
-        final.extend(iterate_decomposition(prim, strategy))
+    for prim in primary_sectors(feynman_parametrize(graph, kin, m)):
+        final.extend(iterate_decomposition(prim))
     return final
 
 
@@ -258,13 +207,16 @@ def pipeline(graph: FeynmanGraph, kin: Kinematics, m: int = 2, target_order: int
     Everything up to the Monte Carlo stage is exact; each (sector, order)
     integrand gets its own deterministic random substream, and results are
     merged in sector-index order, so fixed inputs give bit-identical output
-    for any thread count.
+    for any thread count.  ``strategy`` names the blow-up strategy; "pairdiff"
+    is the only one, and any other name raises DomainError.
     """
+    if strategy != "pairdiff":
+        raise DomainError(f"unknown strategy {strategy!r}; the only strategy is 'pairdiff'")
     cfg = cfg or MCConfig()
     floor = -2 * graph.loops
     if target_order < floor:
         raise DomainError(f"target order {target_order} below the pole floor {floor}")
-    final = decompose_graph(graph, kin, m, strategy)
+    final = decompose_graph(graph, kin, m)
 
     contributions = []
     jobs = []

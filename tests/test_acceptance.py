@@ -174,7 +174,7 @@ def test_acceptance_4_hironaka_termination():
         pts = PointSet([tuple(rng.randint(0, 5) for _ in range(n)) for _ in range(npts)])
         for policy in B_POLICIES:
             # play() raises StrategyError if the measure ever fails to drop
-            moves, _tr = play(pts, "pairdiff", policy, seed=trial)
+            moves, _tr = play(pts, policy, seed=trial)
             total_moves += moves
     elapsed = time.time() - start
     assert elapsed < 10.0, f"runtime {elapsed:.1f}s exceeds 10s"

@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from feynsec.cli import main, parse_rational, series_from_json
+from feynsec.cli import main, parse_rational
+from feynsec.mcint import EpsSeries
 from fractions import Fraction
 
 BUBBLE_JOB = {
@@ -69,7 +70,7 @@ def test_evaluate_json_roundtrip(jobfile, capsys):
     assert rc == 0
     doc = json.loads(out)
     assert "series" in doc and "diagnostics" in doc
-    series = series_from_json(out)
+    series = EpsSeries.from_json(out)
     assert series.orders() == [0, 1]
     assert [series.value(o) for o in (0, 1)] == [doc["series"]["0"][0], doc["series"]["1"][0]]
     # the parsed series equals the in-memory one from an identical run
@@ -101,6 +102,15 @@ def test_positive_invariant_exit_3(jobfile, capsys):
 def test_order_below_floor_exit_2(jobfile):
     rc = main(["evaluate", jobfile(BUBBLE_JOB), "--order", "-5"])
     assert rc == 2
+
+
+def test_strategy_flag_is_gone(jobfile, capsys):
+    for args in (["evaluate", jobfile(BUBBLE_JOB)], ["decompose", jobfile(BUBBLE_JOB)],
+                 ["game", "--points", "2,0;0,2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--strategy", "pairdiff"])
+        assert exc.value.code == 2
+        assert "--strategy" in capsys.readouterr().err
 
 
 def test_decompose_bubble(jobfile, capsys):

@@ -152,8 +152,7 @@ def test_disconnected_graph_rejected():
 
 
 def test_enumeration_above_bruteforce_cutoff():
-    """13 edges exercises the delete/contract recursion; the count still has
-    to match the determinant oracle."""
+    """On 13 edges the count still has to match the determinant oracle."""
     edges = [(i, i + 1) for i in range(6)] + [(6, 0)] + \
             [(0, 3), (1, 4), (2, 5), (0, 2), (3, 5), (1, 6)]
     g = FeynmanGraph(edges, externals=[(0, "p1"), (3, "p2")])

@@ -43,11 +43,6 @@ def test_choose_subset_examples():
         choose_subset(PointSet([(1, 0)]))
 
 
-def test_choose_subset_unknown_strategy():
-    with pytest.raises(DomainError):
-        choose_subset(PointSet([(2, 0), (0, 2)]), "nope")
-
-
 def test_play_won_in_one_move():
     for policy in B_POLICIES:
         moves, transcript = play(PointSet([(2, 0), (0, 2)]), b_policy=policy, seed=3)
@@ -60,30 +55,26 @@ def test_play_zero_moves():
     assert moves == 0 and transcript == []
 
 
-def test_play_2d_fullspread_hand_replay():
-    """Player A always plays both coordinates on a 2D position; replay the
-    update rule by hand and compare the transcript."""
+def test_play_2d_hand_replay():
+    """Replay the update rule by hand on a 2D position and compare the
+    transcript."""
     start = PointSet([(3, 0), (0, 2)])
     picker = b_policy_fn("max-coordinate", 0)
     state = start
     expected = []
     while not is_won(state):
-        subset = frozenset({0, 1})
+        subset = choose_subset(state)
         l = picker(state, subset)
         nxt = []
         for p in state.points:
             q = list(p)
-            q[l] = p[0] + p[1] - 1
+            q[l] = sum(p[j] for j in subset) - 1
             nxt.append(tuple(q))
         state = PointSet(nxt)
         expected.append((sorted(subset), l))
-    moves, transcript = play(start, "fullspread", "max-coordinate", seed=0)
+    moves, transcript = play(start, "max-coordinate", seed=0)
     assert moves == len(expected)
     assert [(t["subset"], t["index"]) for t in transcript] == expected
-
-
-def test_fullspread_on_spread_2d_is_both_coordinates():
-    assert choose_subset(PointSet([(3, 0), (0, 2)]), "fullspread") == frozenset({0, 1})
 
 
 def test_strategy_for_polynomial_examples():
@@ -110,7 +101,7 @@ def test_termination_500_seeded_games_all_policies():
     for trial in range(500):
         m = _random_instance(rng)
         for policy in B_POLICIES:
-            moves, transcript = play(m, "pairdiff", policy, seed=trial)
+            moves, transcript = play(m, policy, seed=trial)
             assert moves < 10_000
 
 
@@ -119,7 +110,7 @@ def test_measure_strictly_decreases_recorded():
     for trial in range(50):
         m = _random_instance(rng)
         start = game_measure(m)
-        moves, transcript = play(m, "pairdiff", "random", seed=trial)
+        moves, transcript = play(m, "random", seed=trial)
         previous = start
         for step in transcript:
             assert tuple(step["measure"]) <= previous[:2]
@@ -132,25 +123,16 @@ def test_pruning_invariance_of_transcripts():
     for trial in range(60):
         m = _random_instance(rng)
         for policy in B_POLICIES:
-            a = play(m, "pairdiff", policy, seed=trial, prune_each_move=False)
-            b = play(m, "pairdiff", policy, seed=trial, prune_each_move=True)
+            a = play(m, policy, seed=trial, prune_each_move=False)
+            b = play(m, policy, seed=trial, prune_each_move=True)
             strip = lambda tr: [(t["subset"], t["index"]) for t in tr]
             assert a[0] == b[0]
             assert strip(a[1]) == strip(b[1])
 
 
-def test_fullspread_terminates_on_corpus():
-    rng = random.Random(9)
-    for trial in range(100):
-        m = _random_instance(rng)
-        moves, _ = play(m, "fullspread", "random", seed=trial, move_cap=100_000)
-        assert moves < 100_000
-
-
 def test_move_cap_raises():
     with pytest.raises(StrategyError):
-        play(PointSet([(2, 0, 0), (0, 2, 0), (0, 0, 2)]), "pairdiff", "random",
-             seed=0, move_cap=0)
+        play(PointSet([(2, 0, 0), (0, 2, 0), (0, 0, 2)]), "random", seed=0, move_cap=0)
 
 
 def test_game_to_decomposition_soundness():

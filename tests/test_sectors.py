@@ -20,7 +20,7 @@ from feynsec.graphs import bubble, one_mass_triangle, tadpole, feynman_parametri
 from feynsec.mcint import MCConfig
 from feynsec.poly import Poly
 from feynsec.sectors import (GeneralIntegral, SectorIntegrand, decompose_graph,
-                             from_param_integral, homogenize, iterate_decomposition,
+                             homogenize, iterate_decomposition,
                              decompose_step, pipeline, primary_sectors)
 
 Z2 = math.pi ** 2 / 6
@@ -44,7 +44,7 @@ def sector_quadrature(sector, eps, tol=1e-9):
         ts = [u ** k for u, k in zip(us, ks)]
         value = float(sector.prefactor)
         for u, k, a in zip(us, ks, exps):
-            value *= k * u ** (k - 1) * u ** (k * a)
+            value *= k * u ** (k - 1 + k * a)
         point = np.array([ts])
         for q, e in factors:
             value *= float(q.eval_array(point)[0]) ** e
@@ -104,7 +104,7 @@ def test_homogenize_example_constant():
 
 def test_homogenize_graph_polynomials_unchanged():
     g, kin = bubble()
-    j = from_param_integral(feynman_parametrize(g, kin))
+    j = feynman_parametrize(g, kin)
     h = homogenize(j)
     assert [q for q, _ in h.factors] == [q for q, _ in j.factors]
 
@@ -121,7 +121,7 @@ def test_homogenize_mixed_degrees_sampled_equality():
 
 def test_primary_sectors_bubble_structure():
     g, kin = bubble()
-    j = homogenize(from_param_integral(feynman_parametrize(g, kin)))
+    j = homogenize(feynman_parametrize(g, kin))
     sectors = primary_sectors(j)
     assert len(sectors) == 2
     for s in sectors:
@@ -132,7 +132,7 @@ def test_primary_sectors_bubble_structure():
 
 def test_primary_sectors_bubble_numeric_at_eps0():
     g, kin = bubble()
-    j = homogenize(from_param_integral(feynman_parametrize(g, kin)))
+    j = homogenize(feynman_parametrize(g, kin))
     values = [sector_quadrature(s, 0.0) for s in primary_sectors(j)]
     assert values[0] == pytest.approx(0.5, rel=1e-8)
     assert sum(values) == pytest.approx(1.0, rel=1e-8)
@@ -140,7 +140,7 @@ def test_primary_sectors_bubble_numeric_at_eps0():
 
 def test_primary_sectors_tadpole_trivial():
     g, kin = tadpole()
-    j = homogenize(from_param_integral(feynman_parametrize(g, kin)))
+    j = homogenize(feynman_parametrize(g, kin))
     sectors = primary_sectors(j)
     assert len(sectors) == 1
     assert sectors[0].nvars == 0
@@ -149,7 +149,7 @@ def test_primary_sectors_tadpole_trivial():
 
 def test_primary_sectors_triangle_structure_and_sum():
     g, kin = one_mass_triangle()
-    j = homogenize(from_param_integral(feynman_parametrize(g, kin)))
+    j = homogenize(feynman_parametrize(g, kin))
     sectors = primary_sectors(j)
     assert len(sectors) == 3
     # the sector pivoting on the third edge shows the double singularity
@@ -230,7 +230,7 @@ def test_decompose_step_partial_subset():
 
 def test_iterate_monomialised_unchanged():
     g, kin = bubble()
-    j = homogenize(from_param_integral(feynman_parametrize(g, kin)))
+    j = homogenize(feynman_parametrize(g, kin))
     s = primary_sectors(j)[0]
     out = iterate_decomposition(s)
     assert out == [s]
@@ -343,7 +343,7 @@ def test_extract_nested_subtractions_match_quadrature():
         factors=((Poly(2, {(0, 0): 2, (1, 0): 1, (0, 1): 1, (1, 1): 1}), EpsExponent(-1, -2)),))
     coeffs = series_coefficients(s, 2)
     assert coeffs[-2] == 0.5
-    for eps in (0.1, 0.2):
+    for eps in (0.02, 0.1, 0.2):
         truncated = sum(c * eps ** o for o, c in coeffs.items())
         # the first omitted coefficient is about 2
         assert abs(sector_quadrature(s, eps) - truncated) < 3 * eps ** 3
@@ -512,6 +512,14 @@ def test_pipeline_rejects_too_deep_order():
     g, kin = bubble()
     with pytest.raises(DomainError):
         pipeline(g, kin, target_order=-3)
+
+
+def test_pipeline_rejects_unknown_strategy():
+    # rejected up front, even where no blow-up would consult the strategy
+    from feynsec.errors import DomainError
+    g, kin = bubble()
+    with pytest.raises(DomainError):
+        pipeline(g, kin, strategy="nope")
 
 
 def test_pipeline_two_loop_figure_eight():
