@@ -30,13 +30,14 @@ from .errors import (DomainError, DivergenceError, EuclideanRegionError, Feynsec
                      KinematicsError, ScalelessError, StrategyError, TopologyError)
 from .graphs import FeynmanGraph, Kinematics
 from .hironaka import PointSet, play
-from .mcint import MCConfig
+from .mcint import SHIFTS, MCConfig
 from .sectors import decompose_graph, pipeline
 from .words import (LinComb, antipode_quasi, antipode_shuffle, coproduct,
                     lyndon_words, min_pairing_alphabet, quasi_shuffle, shuffle)
 from . import polylog as pl
 
 EXIT_PARSE, EXIT_DOMAIN, EXIT_STRATEGY = 2, 3, 4
+LI2_REL_TOL = 1e-14     # the relative accuracy li2_numeric meets
 
 
 def parse_rational(text) -> Fraction:
@@ -200,8 +201,10 @@ def cmd_polylog(args) -> int:
     if head == "Li" and len(rest) == 2:
         value = pl.li_series(_parse_intlist(rest[0]), _parse_floatlist(rest[1]), rel_tol)
     elif head == "Li2" and len(rest) == 1:
+        if rel_tol < LI2_REL_TOL:
+            raise InputError(f"Li2 is computed to a relative tolerance of {LI2_REL_TOL:g}, "
+                             f"not the requested {rel_tol:g}")
         value = pl.li2_numeric(_parse_scalar(rest[0]))
-        rel_tol = 1e-14
     elif head == "G" and len(rest) == 2:
         value = pl.g_func(_parse_floatlist(rest[0]), _parse_scalar(rest[1]), rel_tol)
     elif head == "Z" and len(rest) == 3:
@@ -230,7 +233,9 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="run the full pipeline on a graph file")
     p.add_argument("jobfile")
     p.add_argument("--order", type=int, default=None)
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--samples", type=int, default=100_000,
+                   help=f"integrand evaluations per sector integral: {SHIFTS} random "
+                        f"shifts of a lattice of samples // {SHIFTS} points")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_evaluate)

@@ -155,6 +155,18 @@ def test_polylog_subcommand(capsys):
     assert main(["polylog", "bogus"]) == 2
 
 
+def test_polylog_li2_prints_requested_tolerance(capsys):
+    assert main(["polylog", "Li2 0.5", "--rel-tol", "1e-3"]) == 0
+    assert capsys.readouterr().out.strip() == "0.5822405264650126 (rel_tol 0.001)"
+
+
+def test_polylog_li2_rejects_tolerance_below_its_accuracy(capsys):
+    assert main(["polylog", "Li2 0.5", "--rel-tol", "1e-15"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "1e-14" in captured.err
+
+
 def _run_cli(args, env_extra):
     env = dict(os.environ)
     env.update(env_extra)

@@ -557,3 +557,61 @@ def test_pipeline_two_loop_massless_sunset():
     for order in range(3):
         value, err, _ = series.coefficient(order)
         assert abs(float(value) - oracle[order]) < 5 * err, (order, value, oracle[order])
+
+
+# -- oracles beyond one loop ---------------------------------------------------
+
+def _kite():
+    from feynsec.graphs import FeynmanGraph, Kinematics
+    g = FeynmanGraph([(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)], externals=[(0, "p1"), (3, "p2")])
+    return g, Kinematics({"p1": Fraction(-1)}, labels=g.external_labels())
+
+
+def _kite_eps0_pull(samples, seed):
+    from feynsec.polylog import zeta_value
+    g, kin = _kite()
+    series, _diag = pipeline(g, kin, target_order=0, cfg=MCConfig(samples=samples, seed=seed))
+    value, err, _ = series.coefficient(0)
+    truth = 6 * zeta_value(3)
+    return (float(value) - truth) / err, err / truth
+
+
+def test_pipeline_two_loop_kite():
+    """The massless kite at p^2 = -1 is finite, with eps^0 = 6 zeta(3)."""
+    pull, rel_err = _kite_eps0_pull(1 << 13, seed=1)
+    assert abs(pull) <= 5
+    assert rel_err <= 1e-4
+
+
+def test_pipeline_kite_error_calibration():
+    """Over 40 seeds the quoted eps^0 errors of the kite are calibrated:
+    between half and 85 percent of the pulls lie within one sigma (68
+    percent expected) and none beyond five."""
+    pulls = [abs(_kite_eps0_pull(1 << 12, seed)[0]) for seed in range(1, 41)]
+    within = sum(p < 1 for p in pulls) / len(pulls)
+    assert 0.5 <= within <= 0.85, pulls
+    assert max(pulls) <= 5, pulls
+
+
+def test_pipeline_one_loop_massless_box():
+    """Massless box at s = -3, t = -2 (Ellis-Zanderighi, arXiv:0712.1851):
+    eps^0 = [4 - 4 zeta2 + 2 ln 6 + 2 ln 2 ln 3 - pi^2] / 6."""
+    from feynsec.graphs import FeynmanGraph, Kinematics
+    from feynsec.polylog import zeta_value
+    g = FeynmanGraph([(0, 1), (1, 2), (2, 3), (3, 0)],
+                     externals=[(0, "p1"), (1, "p2"), (2, "p3"), (3, "p4")])
+    invariants = {"p1": 0, "p2": 0, "p3": 0, "p4": 0, "p1,p2": -3, "p1,p4": -2}
+    kin = Kinematics({k: Fraction(v) for k, v in invariants.items()}, labels=g.external_labels())
+    z2 = zeta_value(2)
+    truth = (4 - 10 * z2 + 2 * math.log(6) + 2 * math.log(2) * math.log(3)) / 6
+    series, _diag = pipeline(g, kin, target_order=0, cfg=MCConfig(samples=1 << 14, seed=1))
+    value, err, _ = series.coefficient(0)
+    assert abs(float(value) - truth) < 5 * err, (value, err, truth)
+
+
+def test_pipeline_kite_identical_across_threads():
+    g, kin = _kite()
+    cfg = MCConfig(samples=1 << 12, seed=5)
+    s1, _ = pipeline(g, kin, target_order=0, cfg=cfg, threads=1)
+    s2, _ = pipeline(g, kin, target_order=0, cfg=cfg, threads=2)
+    assert s1.as_rows() == s2.as_rows()
