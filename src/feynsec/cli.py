@@ -89,9 +89,12 @@ def build_graph(job: dict) -> tuple[FeynmanGraph, Kinematics]:
 def _threads() -> int:
     raw = os.environ.get("FEYNSEC_THREADS", "1")
     try:
-        return max(1, int(raw))
+        threads = int(raw)
     except ValueError:
-        return 1
+        threads = 0
+    if threads < 1:
+        raise InputError(f"FEYNSEC_THREADS must be a positive integer, not {raw!r}")
+    return threads
 
 
 def cmd_evaluate(args) -> int:

@@ -1,24 +1,31 @@
-"""Pole extraction and series expansion of monomialised sector integrands.
+"""Exact sector integrands, pole extraction and series expansion.
 
-A sector integrand (monomial exponents a_i + b_i*eps per variable, factor
-polynomials with positive constant term raised to d_j + f_j*eps) is first
+:class:`SectorIntegrand` is the one exact integrand type: an eps-rational
+prefactor times per-variable monomials x_i^(a_i + b_i*eps) and factor
+polynomials raised to d_j + f_j*eps, over the unit hypercube.  It serves as
+a sector of the decomposition, as a piece of its pole extraction and as a
+term of a Taylor coefficient.
+
+A monomialised sector (every factor with positive constant term) is first
 split exactly: for every variable with a_i <= -1 each Taylor coefficient of
 the factor product in that variable is integrated with 1/(a+p+1+b*eps), and
-subtracted again by a counter piece.  The result is a list of pieces, each
-an exact rational function of eps times a residual integrand; a piece alone
-may be singular, but the pieces of one sector sum to an integrable
-integrand.  Pieces are then expanded order by order in eps into sums of
-terms built from integer powers of the variables and factor polynomials and
-nonnegative powers of their logarithms - the closure class of rational
-functions and logarithms of rational functions with rational coefficients.
-The terms of one sector and order are normalised together in
-:class:`FiniteIntegrand`, where the Taylor subtractions take effect.
+subtracted again by a counter piece.  A pole piece keeps the integrated
+variable with exponent 0, since its value is the exact x_i integral times
+the unit integral over x_i.  A piece alone may be singular, but the pieces
+of one sector sum to an integrable integrand.  Pieces are then expanded
+order by order in eps into sums of terms built from integer powers of the
+variables and factor polynomials and nonnegative powers of their
+logarithms - the closure class of rational functions and logarithms of
+rational functions with rational coefficients.  The terms of one sector and
+order are normalised together in :class:`FiniteIntegrand`, where the Taylor
+subtractions take effect.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import factorial
 from math import log as _mlog
 
 import numpy as np
@@ -26,6 +33,9 @@ import numpy as np
 from .epsilon import EpsExponent, EpsRat
 from .errors import DivergenceError, FeynsecError
 from .poly import Poly
+
+_ONE = EpsRat.constant(1)
+_INTEGRATED = EpsExponent(0, 0)
 
 
 def _merge_factors(factors):
@@ -37,18 +47,30 @@ def _merge_factors(factors):
 
 
 @dataclass(frozen=True)
-class Piece:
-    """Exact eps-rational prefactor times a hypercube integrand.
+class SectorIntegrand:
+    """pref * prod x_i^monomials[i] * prod Q^exp over the unit hypercube.
 
-    ``monomials[i]`` is None once variable i has been integrated out.  A
-    piece may be singular in a variable on its own; only the sum of the
-    pieces ``extract_poles`` returns for one sector is integrable.
+    ``monomials`` holds one EpsExponent per variable and ``factors`` the
+    (Poly, EpsExponent) pairs.  Factor polynomials of a sector carry no
+    monomial content; the content lives in the per-variable exponents.
     """
 
-    nvars: int
-    pref: EpsRat
     monomials: tuple
     factors: tuple
+    pref: EpsRat = _ONE
+
+    @property
+    def nvars(self) -> int:
+        return len(self.monomials)
+
+    def is_monomialised(self) -> bool:
+        return all(q.constant_term() != 0 for q, _ in self.factors)
+
+    def first_open_factor(self) -> int | None:
+        for k, (q, _) in enumerate(self.factors):
+            if q.constant_term() == 0:
+                return k
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -56,27 +78,29 @@ class Piece:
 # ---------------------------------------------------------------------------
 
 def _dx_factor_terms(terms, i):
-    """d/dx_i of a list of (EpsRat, factors) product terms."""
+    """d/dx_i of a list of product terms."""
     out = []
-    for pref, factors in terms:
-        for k, (q, exp) in enumerate(factors):
+    for t in terms:
+        for k, (q, exp) in enumerate(t.factors):
             dq = q.derivative(i)
             if not dq:
                 continue
-            new = list(factors)
+            new = list(t.factors)
             new[k] = (q, exp + EpsExponent(-1, 0))
             new.append((dq, EpsExponent(1, 0)))
-            out.append((pref.mul_linear(exp.a, exp.b), _merge_factors(new)))
+            out.append(SectorIntegrand(t.monomials, _merge_factors(new),
+                                       t.pref.mul_linear(exp.a, exp.b)))
     return out
 
 
 def _set_zero_terms(terms, i):
     """Substitute x_i = 0; dead terms vanish, constant factors fold."""
     out = []
-    for pref, factors in terms:
+    for t in terms:
+        pref = t.pref
         dead = False
         new = []
-        for q, exp in factors:
+        for q, exp in t.factors:
             q0 = q.set_zero(i)
             if not q0:
                 dead = True
@@ -92,65 +116,54 @@ def _set_zero_terms(terms, i):
                 continue
             new.append((q0, exp))
         if not dead:
-            out.append((pref, _merge_factors(new)))
+            out.append(SectorIntegrand(t.monomials, _merge_factors(new), pref))
     return out
 
 
-def extract_poles(sector) -> list[Piece]:
+def extract_poles(sector: SectorIntegrand) -> list[SectorIntegrand]:
     """Split a monomialised sector into pieces that sum to it.
 
     Variables are processed in ascending index order.  For a variable x_i
     with monomial exponent a + b*eps and a <= -1, every term c of the order
     p < |a| Taylor coefficient of the factor product at x_i = 0 yields two
-    pieces: the pole piece c/(p! (a+p+1+b*eps)), its exact x_i integral, and
-    the counter piece -c/p! x_i^(a+p+b*eps), which subtracts it again.  The
-    parent piece passes on unchanged; with its counter pieces it is
-    integrable in x_i.  Terms whose Taylor coefficient vanishes are dropped
-    before the ``b = 0`` divergence check fires.
+    pieces: the pole piece c/(p! (a+p+1+b*eps)), its exact x_i integral
+    with x_i at exponent 0, and the counter piece -c/p! x_i^(a+p+b*eps),
+    which subtracts it again.  The parent piece passes on unchanged; with
+    its counter pieces it is integrable in x_i.  Terms whose Taylor
+    coefficient vanishes are dropped before the ``b = 0`` divergence check
+    fires.
     """
-    start = Piece(
-        nvars=sector.nvars,
-        pref=EpsRat.constant(getattr(sector, "prefactor", 1)),
-        monomials=tuple(sector.monomials),
-        factors=_merge_factors(sector.factors),
-    )
-    pieces = [start]
-    for i in range(start.nvars):
-        nxt: list[Piece] = []
+    pieces = [replace(sector, factors=_merge_factors(sector.factors))]
+    for i in range(sector.nvars):
+        nxt: list[SectorIntegrand] = []
         for piece in pieces:
             nxt.append(piece)
             exp = piece.monomials[i]
-            if exp is None or exp.a >= 0:
+            if exp.a >= 0:
                 continue
             a, b = exp.a, exp.b
             depth = -a
-            terms = [(piece.pref, piece.factors)]
+            terms = [piece]
             before, after = piece.monomials[:i], piece.monomials[i + 1:]
+            integrated = before + (_INTEGRATED,) + after
             for p in range(depth):
                 coeff_terms = _set_zero_terms(terms, i)
                 if coeff_terms and a + p + 1 == 0 and b == 0:
                     raise DivergenceError(
                         f"variable {i} carries x^{a} with no eps regulator")
-                inv_fact = Fraction(1, _factorial(p))
-                for pref, factors in coeff_terms:
-                    nxt.append(Piece(piece.nvars,
-                                     pref * inv_fact * EpsRat.linear_inverse(a + p + 1, b),
-                                     before + (None,) + after, factors))
-                    nxt.append(Piece(piece.nvars, pref * -inv_fact,
-                                     before + (exp.shift(p),) + after, factors))
+                inv_fact = Fraction(1, factorial(p))
+                counter = before + (exp.shift(p),) + after
+                for t in coeff_terms:
+                    nxt.append(SectorIntegrand(
+                        integrated, t.factors,
+                        t.pref * inv_fact * EpsRat.linear_inverse(a + p + 1, b)))
+                    nxt.append(SectorIntegrand(counter, t.factors, t.pref * -inv_fact))
                 if p + 1 < depth:
                     terms = _dx_factor_terms(terms, i)
                     if not terms:
                         break
         pieces = nxt
     return pieces
-
-
-def _factorial(p: int) -> int:
-    out = 1
-    for k in range(2, p + 1):
-        out *= k
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +241,7 @@ def _normalize_terms(terms) -> tuple:
     return tuple(sorted((t for t in acc.values() if t.coeff != 0), key=Term.key))
 
 
-def expand_piece(piece: Piece, target_order: int) -> dict[int, list]:
+def expand_piece(piece: SectorIntegrand, target_order: int) -> dict[int, list]:
     """Laurent-expand a piece; returns {order: list of unnormalised Terms}.
 
     The terms are normalised only once all pieces of the sector have been
@@ -241,7 +254,7 @@ def expand_piece(piece: Piece, target_order: int) -> dict[int, list]:
         return {}
     depth = target_order - low
 
-    xpows = tuple((m.a if m is not None else 0) for m in piece.monomials)
+    xpows = tuple(m.a for m in piece.monomials)
     zero = tuple(0 for _ in piece.monomials)
     fpows = tuple((q, exp.a) for q, exp in piece.factors if exp.a != 0)
     base = Term(coeff=Fraction(1), xpows=xpows, xlogs=zero, fpows=fpows, flogs=())
@@ -249,7 +262,7 @@ def expand_piece(piece: Piece, target_order: int) -> dict[int, list]:
 
     # log sources from x_i^{b*eps} factors
     for i, m in enumerate(piece.monomials):
-        if m is None or m.b == 0:
+        if m.b == 0:
             continue
         series = _convolve_log(series, depth, m.b,
                                lambda t, k, i=i: replace(
@@ -278,7 +291,7 @@ def _convolve_log(series, depth, weight, attach):
     out: dict[int, list[Term]] = {}
     for k0, terms in series.items():
         for k in range(0, depth - k0 + 1):
-            c = Fraction(weight) ** k / _factorial(k)
+            c = Fraction(weight) ** k / factorial(k)
             for t in terms:
                 nt = attach(t, k) if k else t
                 out.setdefault(k0 + k, []).append(nt.scaled(c) if k else nt)

@@ -99,16 +99,12 @@ class Poly:
         for exps in sorted(self.coeffs, key=lambda e: (sum(e), e)):
             c = self.coeffs[exps]
             factors = [str(c)] if c != 1 or not any(exps) else []
-            if c == 1 and any(exps):
-                factors = []
             for i, e in enumerate(exps):
                 if e == 1:
                     factors.append(names[i])
                 elif e > 1:
                     factors.append(f"{names[i]}^{e}")
-            if c != 1 and any(exps):
-                factors = [str(c)] + [f for f in factors if f != str(c)]
-            parts.append("*".join(factors) if factors else str(c))
+            parts.append("*".join(factors))
         return " + ".join(parts)
 
     # -- arithmetic ----------------------------------------------------

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
@@ -65,24 +64,6 @@ _BERNOULLI = bernoulli_numbers(64)
 # exact nested sums
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MultiIndex:
-    entries: tuple
-
-    def __post_init__(self):
-        if len(self.entries) < 1 or any(int(m) < 1 or int(m) != m for m in self.entries):
-            raise DomainError("weights must be positive integers, depth at least one")
-        object.__setattr__(self, "entries", tuple(int(m) for m in self.entries))
-
-    @property
-    def depth(self) -> int:
-        return len(self.entries)
-
-    @property
-    def weight(self) -> int:
-        return sum(self.entries)
-
-
 def zsum(n, m, x=None, rel_tol: float = 1e-12):
     """Nested sum over n >= i_1 > ... > i_k >= 1 of prod x_j^{i_j} / i_j^{m_j}.
 
@@ -90,7 +71,7 @@ def zsum(n, m, x=None, rel_tol: float = 1e-12):
     the infinite sum and delegates to the series evaluator (Euler-Zagier
     sums for unit scales, multiple zeta values for unit scales at infinity).
     """
-    m = m.entries if isinstance(m, MultiIndex) else tuple(m)
+    m = tuple(m)
     k = len(m)
     if x is None:
         x = (1,) * k
@@ -165,7 +146,7 @@ def li_series(m, x, rel_tol: float = 1e-12, max_terms: int = 4_000_000):
     terms drop below rel_tol times the running sum (three consecutive
     times).  Arguments may be real or complex inside the convergence region.
     """
-    m = m.entries if isinstance(m, MultiIndex) else tuple(int(v) for v in m)
+    m = tuple(int(v) for v in m)
     x = tuple(complex(v) for v in x)
     if len(m) != len(x):
         raise DomainError("index and argument lengths differ")
@@ -222,7 +203,7 @@ def nielsen(n: int, p: int, x, rel_tol: float = 1e-12):
 
 def hpl(m, x, rel_tol: float = 1e-12):
     """Harmonic polylogarithm with positive indices: all trailing scales one."""
-    m = m.entries if isinstance(m, MultiIndex) else tuple(m)
+    m = tuple(m)
     return li_series(m, (x,) + (1,) * (len(m) - 1), rel_tol)
 
 
@@ -365,14 +346,7 @@ def g_func(zs, y, rel_tol: float = 1e-12, accelerate: bool = True):
     scaled = tuple(z / yc.real for z in zs)
     if scaled[0] == 1:
         raise DomainError("Hoelder split needs z_1 != y")
-    total = 0.0 + 0j
-    w = len(scaled)
-    for j in range(w + 1):
-        left = tuple(1 - scaled[idx] for idx in range(j - 1, -1, -1))
-        right = scaled[j:]
-        lval = g_func(left, 0.5, rel_tol, accelerate=False) if left else 1.0
-        rval = g_func(right, 0.5, rel_tol, accelerate=False) if right else 1.0
-        total += (-1) ** j * lval * rval
+    total = _hoelder_sum(scaled, 2, rel_tol)
     if abs(complex(total).imag) < 1e-10 * max(1.0, abs(total)):
         return complex(total).real
     return total
@@ -388,23 +362,28 @@ def hoelder_sides(zs, p=2, rel_tol: float = 1e-12):
     zs = tuple(zs)
     if not zs or zs[0] == 1 or zs[-1] == 0:
         raise DomainError("Hoelder convolution needs z_1 != 1 and z_w != 0")
-    lhs = g_func(zs, 1.0, rel_tol, accelerate=False)
-    w = len(zs)
+    return g_func(zs, 1.0, rel_tol, accelerate=False), _hoelder_sum(zs, p, rel_tol)
+
+
+def _hoelder_sum(zs, p, rel_tol):
+    """Hoelder convolution side of G(z_1..z_w; 1):
+    sum_j (-1)^j G(1-z_j..1-z_1; 1-1/p) G(z_{j+1}..z_w; 1/p), every G
+    evaluated without acceleration."""
     q = 1.0 - 1.0 / p
-    rhs = 0.0
-    for j in range(w + 1):
-        left = tuple(1 - zs[idx] for idx in range(j - 1, -1, -1))
+    total = 0.0
+    for j in range(len(zs) + 1):
+        left = tuple(1 - z for z in reversed(zs[:j]))
         right = zs[j:]
         lval = g_func(left, q, rel_tol, accelerate=False) if left else 1.0
         rval = g_func(right, 1.0 / p, rel_tol, accelerate=False) if right else 1.0
-        rhs += (-1) ** j * lval * rval
-    return lhs, rhs
+        total += (-1) ** j * lval * rval
+    return total
 
 
 def li_to_g_args(m, x):
     """The G-function word and endpoint equivalent to Li_m(x): inverse of the
     series representation, with arguments 1/x_1, 1/(x_1 x_2), ..."""
-    m = m.entries if isinstance(m, MultiIndex) else tuple(m)
+    m = tuple(m)
     zs = []
     acc = 1
     for mj, xj in zip(m, x):
@@ -425,7 +404,7 @@ def zsum_alphabet() -> Alphabet:
 
 
 def zsum_word(m, x) -> tuple:
-    m = m.entries if isinstance(m, MultiIndex) else tuple(m)
+    m = tuple(m)
     return tuple(zip(m, tuple(x)))
 
 

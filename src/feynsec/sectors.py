@@ -1,20 +1,21 @@
 """Iterated sector decomposition: primary sectors, blow-ups, and the full
 numerical pipeline from a Feynman graph to its Laurent coefficients.
 
-The strategy object steering the blow-ups lives in :mod:`feynsec.hironaka`;
-pole extraction and series expansion in :mod:`feynsec.expansion`.
+Sectors are :class:`~feynsec.expansion.SectorIntegrand` values, the exact
+integrand type that pole extraction and series expansion in
+:mod:`feynsec.expansion` also use; it is re-exported here.  The strategy
+steering the blow-ups lives in :mod:`feynsec.hironaka`.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
+from dataclasses import replace
 
 from . import hironaka
 from .epsilon import EpsExponent
 from .errors import DomainError, FeynsecError, StrategyError
-from .expansion import FiniteIntegrand, extract_poles, expand_piece
+from .expansion import FiniteIntegrand, SectorIntegrand, extract_poles, expand_piece
 from .graphs import FeynmanGraph, GeneralIntegral, Kinematics, feynman_parametrize
 from .mcint import MCConfig, EpsSeries, integrate
 from .poly import Poly
@@ -27,31 +28,6 @@ def homogenize(j: GeneralIntegral) -> GeneralIntegral:
     an identity on graph-derived input."""
     factors = [(q.homogenize_on_simplex(), exp) for q, exp in j.factors]
     return GeneralIntegral(nvars=j.nvars, monomials=list(j.monomials), factors=factors)
-
-
-@dataclass
-class SectorIntegrand:
-    """Integral over the unit hypercube in ``nvars`` variables.
-
-    Factor polynomials are kept free of monomial content; the content lives
-    in the per-variable exponents.  ``provenance`` records the substitutions
-    that produced the sector.
-    """
-
-    nvars: int
-    monomials: tuple
-    factors: tuple
-    prefactor: Fraction = Fraction(1)
-    provenance: tuple = field(default_factory=tuple)
-
-    def is_monomialised(self) -> bool:
-        return all(q.constant_term() != 0 for q, _ in self.factors)
-
-    def first_open_factor(self) -> int | None:
-        for k, (q, _) in enumerate(self.factors):
-            if q.constant_term() == 0:
-                return k
-        return None
 
 
 def _extract_content(nvars: int, monomials: list, q: Poly, exp: EpsExponent):
@@ -93,24 +69,15 @@ def primary_sectors(j: GeneralIntegral) -> list[SectorIntegrand]:
             if not q_l:
                 raise DomainError("factor vanishes identically in a primary sector")
             q_l = _extract_content(n - 1, monomials, q_l, exp)
-            if q_l.is_constant():
-                c = q_l.constant_term()
-                if c == 1:
-                    continue
-                factors.append((q_l, exp))
-            else:
-                factors.append((q_l, exp))
+            if q_l.is_constant() and q_l.constant_term() == 1:
+                continue
+            factors.append((q_l, exp))
         if residual.a or residual.b:
             one_plus_sum = Poly.constant(n - 1, 1)
             for i in range(n - 1):
                 one_plus_sum = one_plus_sum + Poly.variable(n - 1, i)
             factors.append((one_plus_sum, -residual))
-        sectors.append(SectorIntegrand(
-            nvars=n - 1,
-            monomials=tuple(monomials),
-            factors=tuple(factors),
-            provenance=(f"primary sector {l}",),
-        ))
+        sectors.append(SectorIntegrand(monomials=tuple(monomials), factors=tuple(factors)))
     return sectors
 
 
@@ -136,14 +103,11 @@ def decompose_step(sector: SectorIntegrand, subset, l: int) -> SectorIntegrand:
         if had_constant:
             assert q2.constant_term() != 0, "substitution destroyed monomialised form"
         factors.append((q2, exp))
-    return replace(sector,
-                   monomials=tuple(monomials),
-                   factors=tuple(factors),
-                   provenance=sector.provenance + (f"x[i]<-x[{l}]*x[i] for i in {s}",))
+    return replace(sector, monomials=tuple(monomials), factors=tuple(factors))
 
 
-def iterate_decomposition(sector: SectorIntegrand, iteration_cap: int = DEFAULT_ITERATION_CAP,
-                          check_game: bool = False) -> list[SectorIntegrand]:
+def iterate_decomposition(sector: SectorIntegrand,
+                          iteration_cap: int = DEFAULT_ITERATION_CAP) -> list[SectorIntegrand]:
     """Blow up until every factor has a nonzero constant term.
 
     Children are produced for every pivot in the strategy's subset, so
@@ -163,27 +127,13 @@ def iterate_decomposition(sector: SectorIntegrand, iteration_cap: int = DEFAULT_
         steps += 1
         if steps > iteration_cap:
             newtons = [sorted(q.support()) for q, _ in current.factors]
+            monos = ", ".join(str(m) for m in current.monomials)
             raise StrategyError(
-                f"iteration cap {iteration_cap} exceeded; sector provenance "
-                f"{current.provenance}; Newton point sets {newtons}")
+                f"iteration cap {iteration_cap} exceeded; sector monomials [{monos}]; "
+                f"Newton point sets {newtons}")
         poly = current.factors[k][0]
         subset = hironaka.strategy_for_polynomial(poly)
-        children = [decompose_step(current, subset, l) for l in sorted(subset)]
-        if check_game:
-            parent_points = hironaka.PointSet(poly.support())
-            for l, child in zip(sorted(subset), children):
-                moved = hironaka.apply_move(parent_points, hironaka.Move(frozenset(subset), l))
-                substituted = poly.rescale_subset(sorted(subset), l)
-                shifted = []
-                for e in substituted.support():
-                    e = list(e)
-                    e[l] -= 1
-                    if e[l] < 0:
-                        raise AssertionError("game legality violated by substitution")
-                    shifted.append(tuple(e))
-                assert set(shifted) == set(moved.points), (
-                    "blow-up does not track the polyhedra-game move")
-        stack.extend(reversed(children))
+        stack.extend(decompose_step(current, subset, l) for l in sorted(subset, reverse=True))
     return done
 
 
@@ -242,15 +192,16 @@ def pipeline(graph: FeynmanGraph, kin: Kinematics, m: int = 2, target_order: int
                 stream_id = si * order_width + (order - floor)
                 jobs.append((stream_id, order, sector.nvars, fi))
 
-    jobs.sort(key=lambda job: job[0])
+    def run(job):
+        stream_id, _order, dim, fi = job
+        return integrate(fi.compile(), dim, cfg, stream_id)
+
     if threads > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            estimates = list(pool.map(
-                lambda job: integrate(job[3].compile(), job[2], cfg, job[0]), jobs))
+            estimates = list(pool.map(run, jobs))
     else:
-        estimates = [integrate(fi.compile(), dim, cfg, stream_id)
-                     for stream_id, _order, dim, fi in jobs]
-    for (stream_id, order, _dim, _fi), est in zip(jobs, estimates):
+        estimates = list(map(run, jobs))
+    for (_stream_id, order, _dim, _fi), est in zip(jobs, estimates):
         contributions.append((order, est))
 
     lowest = min((o for o, _v in contributions), default=0)

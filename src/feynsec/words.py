@@ -30,11 +30,9 @@ class Alphabet:
     """
 
     def __init__(self, pairing: Callable[[Letter, Letter], Letter] | None = None,
-                 zero: Letter | None = None,
-                 order: Iterable[Letter] | None = None):
+                 zero: Letter | None = None):
         self.pairing = pairing
         self.zero = zero
-        self.order = list(order) if order is not None else None
 
     def pair(self, l1: Letter, l2: Letter) -> Letter:
         if self.pairing is None:
@@ -48,13 +46,12 @@ def min_pairing_alphabet(letters: Iterable[Letter]) -> Alphabet:
     min is commutative and associative, which makes this a convenient closed
     test alphabet.
     """
-    letters = list(letters)
-    return Alphabet(pairing=lambda a, b: min(a, b), order=letters)
+    return Alphabet(pairing=lambda a, b: min(a, b))
 
 
 def absorbing_zero_alphabet(letters: Iterable[Letter], zero: Letter = "0") -> Alphabet:
     """Pairing that always lands on an absorbing zero letter."""
-    return Alphabet(pairing=lambda a, b: zero, zero=zero, order=list(letters))
+    return Alphabet(pairing=lambda a, b: zero, zero=zero)
 
 
 class LinComb:

@@ -104,6 +104,16 @@ def test_order_below_floor_exit_2(jobfile):
     assert rc == 2
 
 
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_malformed_thread_count_exit_2(jobfile, capsys, monkeypatch, value):
+    monkeypatch.setenv("FEYNSEC_THREADS", value)
+    rc = main(["evaluate", jobfile(BUBBLE_JOB), "--samples", "64"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "FEYNSEC_THREADS" in captured.err
+
+
 def test_strategy_flag_is_gone(jobfile, capsys):
     for args in (["evaluate", jobfile(BUBBLE_JOB)], ["decompose", jobfile(BUBBLE_JOB)],
                  ["game", "--points", "2,0;0,2"]):

@@ -137,9 +137,9 @@ def test_move_cap_raises():
 
 def test_game_to_decomposition_soundness():
     """Newton points of the substituted polynomial, shifted down one unit in
-    the pivot coordinate, equal the game move applied to the parent points
-    (asserted inside iterate_decomposition with check_game=True)."""
-    from feynsec.sectors import SectorIntegrand, iterate_decomposition
+    the pivot coordinate, equal the game move applied to the parent points,
+    on every blow-up of the decomposition."""
+    from feynsec.sectors import SectorIntegrand, decompose_step
     from feynsec.epsilon import EpsExponent
 
     polys = [
@@ -148,12 +148,31 @@ def test_game_to_decomposition_soundness():
         Poly(3, {(1, 1, 0): 1, (0, 0, 3): 1, (2, 0, 1): 2}),
     ]
     for p in polys:
-        sector = SectorIntegrand(
-            nvars=p.nvars,
+        stack = [SectorIntegrand(
             monomials=tuple(EpsExponent(0, 0) for _ in range(p.nvars)),
             factors=((p, EpsExponent(-1, 1)),),
-        )
-        final = iterate_decomposition(sector, check_game=True)
+        )]
+        final = []
+        while stack:
+            sector = stack.pop()
+            k = sector.first_open_factor()
+            if k is None:
+                final.append(sector)
+                continue
+            poly = sector.factors[k][0]
+            subset = strategy_for_polynomial(poly)
+            parent_points = PointSet(poly.support())
+            for l in sorted(subset):
+                moved = apply_move(parent_points, Move(frozenset(subset), l))
+                shifted = []
+                for e in poly.rescale_subset(sorted(subset), l).support():
+                    e = list(e)
+                    e[l] -= 1
+                    assert e[l] >= 0, "game legality violated by substitution"
+                    shifted.append(tuple(e))
+                assert set(shifted) == set(moved.points), (
+                    "blow-up does not track the polyhedra-game move")
+                stack.append(decompose_step(sector, subset, l))
         assert final
         for s in final:
             assert s.is_monomialised()

@@ -15,7 +15,7 @@ from scipy.special import roots_legendre
 
 from feynsec.epsilon import EpsExponent, EpsRat
 from feynsec.errors import DivergenceError
-from feynsec.expansion import FiniteIntegrand, Piece, expand_piece, extract_poles
+from feynsec.expansion import FiniteIntegrand, expand_piece, extract_poles
 from feynsec.graphs import bubble, one_mass_triangle, tadpole, feynman_parametrize
 from feynsec.mcint import MCConfig
 from feynsec.poly import Poly
@@ -42,7 +42,7 @@ def sector_quadrature(sector, eps, tol=1e-9):
 
     def integrand(*us):
         ts = [u ** k for u, k in zip(us, ks)]
-        value = float(sector.prefactor)
+        value = float(sector.pref.at(eps))
         for u, k, a in zip(us, ks, exps):
             value *= k * u ** (k - 1 + k * a)
         point = np.array([ts])
@@ -51,7 +51,7 @@ def sector_quadrature(sector, eps, tol=1e-9):
         return value
 
     if sector.nvars == 0:
-        value = float(sector.prefactor)
+        value = float(sector.pref.at(eps))
         point = np.zeros((1, 0))
         for q, e in factors:
             value *= float(q.eval_array(point)[0]) ** e
@@ -198,8 +198,7 @@ def test_primary_sectors_requires_homogeneous():
 # -- decompose_step ---------------------------------------------------------------
 
 def _plain_sector(poly, exponent, nvars):
-    return SectorIntegrand(nvars=nvars,
-                           monomials=tuple(EpsExponent(0, 0) for _ in range(nvars)),
+    return SectorIntegrand(monomials=tuple(EpsExponent(0, 0) for _ in range(nvars)),
                            factors=((poly, exponent),))
 
 
@@ -281,10 +280,10 @@ def test_iteration_cap():
 
 def test_extract_single_pole_exact():
     # int_0^1 x^(-1+eps) dx -> 1/eps with empty remainder
-    s = SectorIntegrand(nvars=1, monomials=(EpsExponent(-1, 1),), factors=())
+    s = SectorIntegrand(monomials=(EpsExponent(-1, 1),), factors=())
     pieces = extract_poles(s)
-    pole = [p for p in pieces if p.monomials[0] is None]
-    rem = [p for p in pieces if p.monomials[0] is not None]
+    pole = [p for p in pieces if p.monomials[0] == EpsExponent(0, 0)]
+    rem = [p for p in pieces if p.monomials[0] != EpsExponent(0, 0)]
     assert len(pole) == 1 and len(rem) == 2
     assert pole[0].pref.laurent(2) == {-1: 1, 0: 0, 1: 0, 2: 0}
     # the remainder pieces cancel: f - f(0) = 0 for f = 1
@@ -293,12 +292,12 @@ def test_extract_single_pole_exact():
 
 def test_extract_single_subtraction_structure():
     # x^(-1-eps) f(x) with f = 1 + x
-    s = SectorIntegrand(nvars=1, monomials=(EpsExponent(-1, -1),),
+    s = SectorIntegrand(monomials=(EpsExponent(-1, -1),),
                         factors=((Poly(1, {(0,): 1, (1,): 1}), EpsExponent(1, 0)),))
     pieces = extract_poles(s)
-    (pole,) = [p for p in pieces if p.monomials[0] is None]
+    (pole,) = [p for p in pieces if p.monomials[0] == EpsExponent(0, 0)]
     assert pole.pref.laurent(0) == {-1: -1, 0: 0}  # f(0)/(-eps) with f(0) = 1
-    rem = [p for p in pieces if p.monomials[0] is not None]
+    rem = [p for p in pieces if p.monomials[0] != EpsExponent(0, 0)]
     # the parent piece and the depth-1 counter piece -f(0) x^(-1-eps)
     assert sorted(len(p.factors) for p in rem) == [0, 1]
     (counter,) = [p for p in rem if not p.factors]
@@ -309,23 +308,23 @@ def test_extract_single_subtraction_structure():
 
 
 def test_extract_divergence_unregulated():
-    s = SectorIntegrand(nvars=1, monomials=(EpsExponent(-1, 0),), factors=())
+    s = SectorIntegrand(monomials=(EpsExponent(-1, 0),), factors=())
     with pytest.raises(DivergenceError):
         extract_poles(s)
 
 
 def test_extract_zero_coefficient_dropped_before_divergence():
     # factor is exactly x, so f(0) = 0 kills the would-be divergent term
-    s = SectorIntegrand(nvars=1, monomials=(EpsExponent(-1, 0),),
+    s = SectorIntegrand(monomials=(EpsExponent(-1, 0),),
                         factors=((Poly(1, {(1,): 1}), EpsExponent(1, 0)),))
     pieces = extract_poles(s)
-    assert len(pieces) == 1 and pieces[0].monomials[0] is not None
+    assert len(pieces) == 1 and pieces[0].monomials[0] != EpsExponent(0, 0)
 
 
 def test_extract_depth_two_subtraction():
     # int_0^1 x^(-2+eps) (1+x)^2 dx = 1/(eps-1) + 2/eps + 1/(1+eps)
     #                               = 2/eps + 0 - 2 eps + O(eps^2)
-    s = SectorIntegrand(nvars=1, monomials=(EpsExponent(-2, 1),),
+    s = SectorIntegrand(monomials=(EpsExponent(-2, 1),),
                         factors=((Poly(1, {(0,): 1, (1,): 1}), EpsExponent(2, 0)),))
     fis = merged_integrands(extract_poles(s), 1, 1)
     assert fis[-1].exact_value() == 2
@@ -339,7 +338,7 @@ def test_extract_nested_subtractions_match_quadrature():
     # x^(-1+eps) y^(-1+eps) (2 + x + y + xy)^(-1-2eps): both variables are
     # subtracted, and the counter pieces of x are subtracted again in y
     s = SectorIntegrand(
-        nvars=2, monomials=(EpsExponent(-1, 1), EpsExponent(-1, 1)),
+        monomials=(EpsExponent(-1, 1), EpsExponent(-1, 1)),
         factors=((Poly(2, {(0, 0): 2, (1, 0): 1, (0, 1): 1, (1, 1): 1}), EpsExponent(-1, -2)),))
     coeffs = series_coefficients(s, 2)
     assert coeffs[-2] == 0.5
@@ -354,7 +353,7 @@ def test_extract_nested_depth_two_subtractions():
     #                                         = 2/eps^2 + 2 + 0 eps + O(eps^2).
     # The y-derivative of the factor product, 2x(1+xy), vanishes at x = 0,
     # but its x-derivative does not and must still be subtracted in x.
-    s = SectorIntegrand(nvars=2, monomials=(EpsExponent(-2, 1), EpsExponent(-2, 1)),
+    s = SectorIntegrand(monomials=(EpsExponent(-2, 1), EpsExponent(-2, 1)),
                         factors=((Poly(2, {(0, 0): 1, (1, 1): 1}), EpsExponent(2, 0)),))
     coeffs = series_coefficients(s, 1)
     assert [coeffs.get(o, 0) for o in (-2, -1, 0)] == [2, 0, 2]
@@ -375,7 +374,7 @@ def test_extract_triangle_double_pole():
         lau = piece.pref.laurent(-2)
         if lau.get(-2):
             # the eps^-2 piece has no variables left and no factors
-            assert all(m is None for m in piece.monomials)
+            assert all(m == EpsExponent(0, 0) for m in piece.monomials)
             assert piece.factors == ()
             coeff += lau[-2]
     assert coeff == 1
@@ -384,8 +383,8 @@ def test_extract_triangle_double_pole():
 # -- expand_eps ------------------------------------------------------------------------
 
 def test_expand_pole_times_x_to_eps():
-    piece = Piece(nvars=1, pref=EpsRat.linear_inverse(0, 1),
-                  monomials=(EpsExponent(0, 1),), factors=())
+    piece = SectorIntegrand(monomials=(EpsExponent(0, 1),), factors=(),
+                            pref=EpsRat.linear_inverse(0, 1))
     out = expand_piece(piece, 0)
     assert set(out) == {-1, 0}
     (t_m1,) = out[-1]
@@ -396,9 +395,8 @@ def test_expand_pole_times_x_to_eps():
 
 def test_expand_factor_log():
     one_plus_t = Poly(1, {(0,): 1, (1,): 1})
-    piece = Piece(nvars=1, pref=EpsRat.constant(1),
-                  monomials=(EpsExponent(0, 0),),
-                  factors=((one_plus_t, EpsExponent(0, 2)),))
+    piece = SectorIntegrand(monomials=(EpsExponent(0, 0),),
+                            factors=((one_plus_t, EpsExponent(0, 2)),), pref=EpsRat.constant(1))
     out = expand_piece(piece, 1)
     (t0,) = out[0]
     assert t0.coeff == 1 and not t0.fpows and not t0.flogs
@@ -464,7 +462,7 @@ def test_order_floor():
 def test_exactness_of_structural_stages():
     g, kin = one_mass_triangle()
     for s in decompose_graph(g, kin):
-        assert isinstance(s.prefactor, Fraction)
+        assert all(isinstance(c, Fraction) for c in s.pref.num + s.pref.den)
         for m in s.monomials:
             assert isinstance(m.a, int) and isinstance(m.b, int)
         for piece in extract_poles(s):
@@ -488,6 +486,20 @@ def test_pipeline_tadpole_exact():
     assert series.coefficient(0) == (Fraction(1), 0.0, True)
     assert series.coefficient(1) == (Fraction(0), 0.0, True)
     assert series.coefficient(2) == (Fraction(0), 0.0, True)
+
+
+@pytest.mark.parametrize("mass2", [Fraction(2), Fraction(1, 3)])
+def test_pipeline_tadpole_mass_folds_into_constants(mass2):
+    # the parametric integral is (m^2)^(1-eps) = m^2 (1 - eps ln m^2 + eps^2 ln^2 m^2 / 2 - ...);
+    # F = m^2 is a constant factor, so every order is a constant with zero error
+    g, kin = tadpole(mass2)
+    series, _diag = pipeline(g, kin, target_order=2, cfg=MCConfig(samples=100, seed=1))
+    assert series.coefficient(0) == (mass2, 0.0, True)
+    log_m2 = math.log(mass2)
+    for order, truth in ((1, -mass2 * log_m2), (2, mass2 * log_m2 ** 2 / 2)):
+        value, err, _exact = series.coefficient(order)
+        assert err == 0.0
+        assert float(value) == pytest.approx(float(truth), rel=1e-14, abs=0)
 
 
 def test_pipeline_triangle_small():
