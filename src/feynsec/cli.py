@@ -171,7 +171,7 @@ def cmd_words(args) -> int:
             print(antipode_shuffle(LinComb.of(_word(args.u))).format())
     elif op == "lyndon":
         letters = sorted(set(args.u))
-        words = lyndon_words(letters, int(args.v))
+        words = lyndon_words(letters, _parse_int(args.v))
         print(" ".join("".join(w) for w in words))
     else:
         raise InputError(f"unknown word operation {op!r}")
@@ -187,8 +187,15 @@ def _parse_scalar(text: str) -> float:
         raise InputError(f"not a number: {text!r}") from exc
 
 
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise InputError(f"not an integer: {text!r}") from exc
+
+
 def _parse_intlist(text: str) -> tuple:
-    return tuple(int(v) for v in text.split(","))
+    return tuple(_parse_int(v) for v in text.split(","))
 
 
 def _parse_floatlist(text: str) -> tuple:
@@ -211,7 +218,7 @@ def cmd_polylog(args) -> int:
     elif head == "G" and len(rest) == 2:
         value = pl.g_func(_parse_floatlist(rest[0]), _parse_scalar(rest[1]), rel_tol)
     elif head == "Z" and len(rest) == 3:
-        n = None if rest[0] in ("inf", "oo") else int(rest[0])
+        n = None if rest[0] in ("inf", "oo") else _parse_int(rest[0])
         value = pl.zsum(n, _parse_intlist(rest[1]),
                         tuple(parse_rational(v) if "/" in v or v.lstrip("-").isdigit() else _parse_scalar(v)
                               for v in rest[2].split(",")))
@@ -221,7 +228,8 @@ def cmd_polylog(args) -> int:
     elif head == "H" and len(rest) == 2:
         value = pl.hpl(_parse_intlist(rest[0]), _parse_scalar(rest[1]), rel_tol)
     elif head == "S" and len(rest) == 3:
-        value = pl.nielsen(int(rest[0]), int(rest[1]), _parse_scalar(rest[2]), rel_tol)
+        value = pl.nielsen(_parse_int(rest[0]), _parse_int(rest[1]), _parse_scalar(rest[2]),
+                           rel_tol)
     else:
         raise InputError(f"cannot parse expression {args.expression!r}")
     print(f"{value!r} (rel_tol {rel_tol:g})")

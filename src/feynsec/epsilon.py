@@ -86,6 +86,19 @@ class EpsRat:
     def is_zero(self) -> bool:
         return self.num == (Fraction(0),)
 
+    def __eq__(self, other):
+        """Equal as rational functions: num1 * den2 == num2 * den1."""
+        if not isinstance(other, EpsRat):
+            return NotImplemented
+        return _poly_mul(self.num, other.den) == _poly_mul(other.num, self.den)
+
+    def __hash__(self):
+        # the leading Laurent term is the same for every representation
+        if self.is_zero():
+            return hash(0)
+        low = self.lowest_order()
+        return hash((low, self.laurent(low)[low]))
+
     def __mul__(self, other) -> "EpsRat":
         if isinstance(other, EpsRat):
             return EpsRat(_poly_mul(self.num, other.num), _poly_mul(self.den, other.den))

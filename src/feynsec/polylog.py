@@ -25,18 +25,20 @@ from .errors import DomainError
 from .words import Alphabet, LinComb, quasi_shuffle, shuffle
 
 EULER_GAMMA = 0.5772156649015328606
+ZETA_DIRECT_TERMS = 120     # terms zeta_value sums before its Euler-Maclaurin tail
+LI_SERIES_TERM_CAP = 4_000_000
 
 
 # ---------------------------------------------------------------------------
 # zeta values and Bernoulli numbers
 # ---------------------------------------------------------------------------
 
-def zeta_value(k: int, n_direct: int = 120) -> float:
+def zeta_value(k: int) -> float:
     """Riemann zeta at integer k >= 2 by direct sum plus Euler-Maclaurin tail."""
     if k < 2:
         raise DomainError("zeta is needed only for integer arguments >= 2 here")
-    s = sum(1.0 / i ** k for i in range(1, n_direct))
-    n = float(n_direct)
+    s = sum(1.0 / i ** k for i in range(1, ZETA_DIRECT_TERMS))
+    n = float(ZETA_DIRECT_TERMS)
     # integral + boundary + three correction terms
     tail = n ** (1 - k) / (k - 1) + 0.5 * n ** (-k) + k / 12.0 * n ** (-k - 1) \
         - k * (k + 1) * (k + 2) / 720.0 * n ** (-k - 3) \
@@ -139,7 +141,7 @@ def _check_convergence(m, x):
         raise DomainError("divergent boundary case m_1 = 1 with x_1 = 1")
 
 
-def li_series(m, x, rel_tol: float = 1e-12, max_terms: int = 4_000_000):
+def li_series(m, x, rel_tol: float = 1e-12):
     """Nested-series value of the multiple polylogarithm.
 
     Truncates once the ratio-extrapolated tail estimate and the last added
@@ -158,7 +160,7 @@ def li_series(m, x, rel_tol: float = 1e-12, max_terms: int = 4_000_000):
     small_streak = 0
     prev_delta = 0j
     xpow = [1.0 + 0j] * k
-    for i in range(1, max_terms + 1):
+    for i in range(1, LI_SERIES_TERM_CAP + 1):
         older = list(partial)
         for j in range(k):
             xpow[j] *= x[j]

@@ -20,7 +20,7 @@ from .graphs import FeynmanGraph, GeneralIntegral, Kinematics, feynman_parametri
 from .mcint import MCConfig, EpsSeries, integrate
 from .poly import Poly
 
-DEFAULT_ITERATION_CAP = 10_000
+ITERATION_CAP = 10_000
 
 
 def homogenize(j: GeneralIntegral) -> GeneralIntegral:
@@ -106,8 +106,7 @@ def decompose_step(sector: SectorIntegrand, subset, l: int) -> SectorIntegrand:
     return replace(sector, monomials=tuple(monomials), factors=tuple(factors))
 
 
-def iterate_decomposition(sector: SectorIntegrand,
-                          iteration_cap: int = DEFAULT_ITERATION_CAP) -> list[SectorIntegrand]:
+def iterate_decomposition(sector: SectorIntegrand) -> list[SectorIntegrand]:
     """Blow up until every factor has a nonzero constant term.
 
     Children are produced for every pivot in the strategy's subset, so
@@ -125,11 +124,11 @@ def iterate_decomposition(sector: SectorIntegrand,
             done.append(current)
             continue
         steps += 1
-        if steps > iteration_cap:
+        if steps > ITERATION_CAP:
             newtons = [sorted(q.support()) for q, _ in current.factors]
             monos = ", ".join(str(m) for m in current.monomials)
             raise StrategyError(
-                f"iteration cap {iteration_cap} exceeded; sector monomials [{monos}]; "
+                f"iteration cap {ITERATION_CAP} exceeded; sector monomials [{monos}]; "
                 f"Newton point sets {newtons}")
         poly = current.factors[k][0]
         subset = hironaka.strategy_for_polynomial(poly)

@@ -165,6 +165,18 @@ def test_polylog_subcommand(capsys):
     assert main(["polylog", "bogus"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["words", "lyndon", "ab"],
+    ["polylog", "Li a 0.5"],
+    ["polylog", "H 1,b 0.5"],
+    ["polylog", "Z x 1 1"],
+    ["polylog", "S 1 x 0.5"],
+])
+def test_malformed_integer_exits_2(argv, capsys):
+    assert main(argv) == 2
+    assert "not an integer" in capsys.readouterr().err
+
+
 def test_polylog_li2_prints_requested_tolerance(capsys):
     assert main(["polylog", "Li2 0.5", "--rel-tol", "1e-3"]) == 0
     assert capsys.readouterr().out.strip() == "0.5822405264650126 (rel_tol 0.001)"

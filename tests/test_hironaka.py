@@ -1,6 +1,7 @@
 """Polyhedra-game suite: move mechanics, strategies, termination measure."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -94,6 +95,38 @@ def _random_instance(rng):
     return PointSet([tuple(rng.randint(0, 5) for _ in range(n)) for _ in range(npts)])
 
 
+def _first_certified_subset(m):
+    """Brute force: the first subset in (size, lexicographic) order whose
+    move is legal and lowers the measure whatever index B picks."""
+    mu = game_measure(m)
+    for size in range(1, m.dim + 1):
+        for combo in combinations(range(m.dim), size):
+            try:
+                children = [apply_move(m, Move(frozenset(combo), l)) for l in combo]
+            except IllegalMoveError:
+                continue
+            if all(game_measure(child) < mu for child in children):
+                return frozenset(combo)
+    return None
+
+
+def test_choose_subset_is_first_certified_subset():
+    rng = random.Random(7)
+    unwon = 0
+    for _ in range(200):
+        m = _random_instance(rng)
+        if is_won(m):
+            continue
+        unwon += 1
+        expected = _first_certified_subset(m)
+        if expected is None:
+            with pytest.raises(StrategyError):
+                choose_subset(m)
+        else:
+            assert choose_subset(m) == expected, m
+    assert unwon > 100
+
+
 def test_termination_500_seeded_games_all_policies():
     """Acceptance-4 core: 500 instances x 3 adversarial policies terminate,
     measure strictly decreasing at every move (play() raises otherwise)."""
@@ -123,16 +156,24 @@ def test_pruning_invariance_of_transcripts():
     for trial in range(60):
         m = _random_instance(rng)
         for policy in B_POLICIES:
-            a = play(m, policy, seed=trial, prune_each_move=False)
-            b = play(m, policy, seed=trial, prune_each_move=True)
-            strip = lambda tr: [(t["subset"], t["index"]) for t in tr]
-            assert a[0] == b[0]
-            assert strip(a[1]) == strip(b[1])
+            picker = b_policy_fn(policy, trial)
+            state = m
+            pruned_moves = []
+            while not is_won(state):
+                subset = choose_subset(state)
+                l = picker(state, subset)
+                state = apply_move(state, Move(subset, l)).pruned()
+                pruned_moves.append((sorted(subset), l))
+            moves, transcript = play(m, policy, seed=trial)
+            assert moves == len(pruned_moves)
+            assert [(t["subset"], t["index"]) for t in transcript] == pruned_moves
 
 
-def test_move_cap_raises():
+def test_move_cap_raises(monkeypatch):
+    from feynsec import hironaka
+    monkeypatch.setattr(hironaka, "MOVE_CAP", 0)
     with pytest.raises(StrategyError):
-        play(PointSet([(2, 0, 0), (0, 2, 0), (0, 0, 2)]), "random", seed=0, move_cap=0)
+        play(PointSet([(2, 0, 0), (0, 2, 0), (0, 0, 2)]), "random", seed=0)
 
 
 def test_game_to_decomposition_soundness():

@@ -269,11 +269,34 @@ def test_iterate_partition_three_variables():
     assert total == pytest.approx(parent, rel=1e-6)
 
 
-def test_iteration_cap():
+def test_iteration_cap(monkeypatch):
+    from feynsec import sectors
     from feynsec.errors import StrategyError
     s = _plain_sector(Poly(2, {(2, 0): 1, (0, 2): 1}), EpsExponent(-1, 1), 2)
+    monkeypatch.setattr(sectors, "ITERATION_CAP", 0)
     with pytest.raises(StrategyError):
-        iterate_decomposition(s, iteration_cap=0)
+        iterate_decomposition(s)
+
+
+def test_eps_rat_equality_is_rational_function_equality():
+    assert EpsRat((1, 1), (1, 1)) == EpsRat.constant(1)
+    assert EpsRat.linear_inverse(0, 1) != EpsRat.constant(1)
+    a = SectorIntegrand((), (), EpsRat.constant(2))
+    b = SectorIntegrand((), (), EpsRat.constant(2))
+    assert a == b and hash(a) == hash(b)
+
+
+def test_decompose_graph_sector_counts():
+    """The strategy plays the smallest certified subsets, which fixes the
+    number of monomialised sectors of the massless kite and double box."""
+    from feynsec.graphs import FeynmanGraph, Kinematics
+    g, kin = _kite()
+    assert len(decompose_graph(g, kin)) == 48
+    g = FeynmanGraph([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 4)],
+                     externals=[(0, "p1"), (2, "p2"), (3, "p3"), (5, "p4")])
+    invariants = {"p1": 0, "p2": 0, "p3": 0, "p4": 0, "p1,p4": -2, "p1,p2": -3}
+    kin = Kinematics({k: Fraction(v) for k, v in invariants.items()}, labels=g.external_labels())
+    assert len(decompose_graph(g, kin)) == 268
 
 
 # -- extract_poles -------------------------------------------------------------------
