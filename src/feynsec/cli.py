@@ -29,7 +29,7 @@ from .errors import (DomainError, DivergenceError, EuclideanRegionError, Feynsec
                      InputError, IllegalMoveError, IntegrandEvaluationError,
                      KinematicsError, ScalelessError, StrategyError, TopologyError)
 from .graphs import FeynmanGraph, Kinematics
-from .hironaka import PointSet, play
+from .hironaka import B_POLICIES, PointSet, play
 from .mcint import SHIFTS, MCConfig
 from .sectors import decompose_graph, pipeline
 from .words import (LinComb, antipode_quasi, antipode_shuffle, coproduct,
@@ -103,7 +103,10 @@ def cmd_evaluate(args) -> int:
     order = args.order if args.order is not None else job["order"]
     if order < -2 * graph.loops:
         raise InputError(f"order {order} below the pole floor {-2 * graph.loops}")
-    cfg = MCConfig(samples=args.samples, seed=args.seed)
+    try:
+        cfg = MCConfig(samples=args.samples, seed=args.seed)
+    except ValueError as exc:
+        raise InputError(f"--samples {args.samples}: {exc}") from exc
     series, diagnostics = pipeline(graph, kin, m=job["dim_anchor"], target_order=order,
                                    cfg=cfg, threads=_threads())
     if args.format == "json":
@@ -257,7 +260,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("game", help="play the polyhedra game from a point list")
     p.add_argument("--points", required=True, help="semicolon-separated points, e.g. '2,0;0,2'")
-    p.add_argument("--b-policy", default="random", dest="b_policy")
+    p.add_argument("--b-policy", choices=B_POLICIES, default="random", dest="b_policy")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("text", "json"), default="json")
     p.set_defaults(func=cmd_game)

@@ -2,9 +2,10 @@
 
 :class:`SectorIntegrand` is the one exact integrand type: an eps-rational
 prefactor times per-variable monomials x_i^(a_i + b_i*eps) and factor
-polynomials raised to d_j + f_j*eps, over the unit hypercube.  It serves as
-a sector of the decomposition, as a piece of its pole extraction and as a
-term of a Taylor coefficient.
+polynomials raised to d_j + f_j*eps.  It serves as the parametric integrand
+of a graph over the simplex, as a sector of the decomposition over the unit
+hypercube, as a piece of its pole extraction and as a term of a Taylor
+coefficient.
 
 A monomialised sector (every factor with positive constant term) is first
 split exactly: for every variable with a_i <= -1 each Taylor coefficient of
@@ -48,11 +49,13 @@ def _merge_factors(factors):
 
 @dataclass(frozen=True)
 class SectorIntegrand:
-    """pref * prod x_i^monomials[i] * prod Q^exp over the unit hypercube.
+    """pref * prod x_i^monomials[i] * prod Q^exp.
 
     ``monomials`` holds one EpsExponent per variable and ``factors`` the
-    (Poly, EpsExponent) pairs.  Factor polynomials of a sector carry no
-    monomial content; the content lives in the per-variable exponents.
+    (Poly, EpsExponent) pairs.  ``feynman_parametrize`` returns the
+    projective graph integrand x^(nu-1) U^a F^b over the standard simplex;
+    a sector lives on the unit hypercube, and its factor polynomials carry
+    no monomial content, which lives in the per-variable exponents.
     """
 
     monomials: tuple

@@ -10,13 +10,12 @@ are canonicalised to the lexicographically smaller side.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .epsilon import EpsExponent
-from .errors import (DomainError, EuclideanRegionError, KinematicsError, ScalelessError,
-                     TopologyError)
+from .errors import EuclideanRegionError, KinematicsError, ScalelessError, TopologyError
+from .expansion import SectorIntegrand
 from .poly import Poly
 
 
@@ -229,49 +228,14 @@ def f_polynomial(graph: FeynmanGraph, kin: Kinematics) -> Poly:
     return f
 
 
-@dataclass
-class GeneralIntegral:
-    """Integral over the standard simplex: per-variable monomial exponents
-    and a product of polynomial factors with eps-linear exponents.
-
-    Factors must be positive inside the open simplex.  Nonnegative
-    coefficients prove this; otherwise deterministic interior sampling is
-    used and ``positivity_uncertain`` is set instead of silently deciding.
-    """
-
-    nvars: int
-    monomials: list
-    factors: list
-    positivity_uncertain: bool = False
-
-    def __post_init__(self):
-        uncertain = False
-        for q, _exp in self.factors:
-            if not q:
-                raise DomainError("zero polynomial factor")
-            coeffs = list(q.coeffs.values())
-            if all(c >= 0 for c in coeffs):
-                continue
-            if all(c <= 0 for c in coeffs):
-                raise DomainError(f"factor {q.as_string()} is negative on the simplex")
-            rng = random.Random(20210914)
-            for _ in range(200):
-                raw = [Fraction(rng.randint(1, 997), 1000) for _ in range(self.nvars)]
-                total = sum(raw)
-                point = [r / total for r in raw]
-                if q.eval_exact(point) <= 0:
-                    raise DomainError(
-                        f"factor {q.as_string()} is not positive inside the simplex")
-            uncertain = True
-        self.positivity_uncertain = uncertain
-
-
-def feynman_parametrize(graph: FeynmanGraph, kin: Kinematics, m: int = 2) -> GeneralIntegral:
+def feynman_parametrize(graph: FeynmanGraph, kin: Kinematics, m: int = 2) -> SectorIntegrand:
     """Build the parametric integral for D = 2m - 2*eps dimensions.
 
-    The monomial exponents are nu_j - 1; U and F carry the exponents
+    The result is the integrand over the standard simplex: monomial
+    exponents nu_j - 1 and the factors U and F with the exponents
     nu - (l+1)m + (l+1)eps and -(nu - l m) - l eps.  Both factors are
-    homogeneous.
+    homogeneous, so the integrand has degree -n in the n Feynman parameters
+    (it is projective), which is all that ``sectors.primary_sectors`` needs.
     """
     if m < 1:
         raise ValueError("dimension anchor must be a positive integer")
@@ -282,9 +246,8 @@ def feynman_parametrize(graph: FeynmanGraph, kin: Kinematics, m: int = 2) -> Gen
     l, nu = graph.loops, graph.nu_total
     exp_u = EpsExponent(nu - (l + 1) * m, l + 1)
     exp_f = EpsExponent(l * m - nu, -l)
-    monomials = [EpsExponent(e.power - 1, 0) for e in graph.edges]
-    return GeneralIntegral(nvars=graph.n_edges, monomials=monomials,
-                           factors=[(u, exp_u), (f, exp_f)])
+    monomials = tuple(EpsExponent(e.power - 1, 0) for e in graph.edges)
+    return SectorIntegrand(monomials=monomials, factors=((u, exp_u), (f, exp_f)))
 
 
 # -- convenience builders used by tests and the CLI ------------------------

@@ -121,7 +121,8 @@ def integrate(f, dim: int, cfg: MCConfig, stream_id: int) -> MCEstimate:
     lattice points, which is ``cfg.samples`` for every power of two from
     SHIFTS up.  Deterministic given (cfg, stream_id).
     """
-    rng = np.random.Generator(np.random.Philox(key=[cfg.seed % (1 << 64), stream_id % (1 << 64)]))
+    rng = np.random.Generator(np.random.Philox(
+        key=np.array([cfg.seed % (1 << 64), stream_id % (1 << 64)], dtype=np.uint64)))
     shifts = min(SHIFTS, cfg.samples)
     n = cfg.samples // shifts
     delta = _draw_shifts(rng, shifts, dim, n)

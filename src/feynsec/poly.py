@@ -245,25 +245,6 @@ class Poly:
             out[tuple(m)] = c * e[i]
         return Poly(self.nvars, out)
 
-    def homogenize_on_simplex(self) -> "Poly":
-        """Pad lower-degree monomials with powers of (x_0 + ... + x_{n-1}).
-
-        Valid on the standard simplex where the padding factor equals one.
-        """
-        if self.is_homogeneous():
-            return self
-        d = self.degree()
-        total = Poly(self.nvars, {})
-        sumvars = Poly(self.nvars, {tuple(1 if j == i else 0 for j in range(self.nvars)): 1
-                                    for i in range(self.nvars)})
-        for e, c in self.coeffs.items():
-            gap = d - sum(e)
-            term = Poly.monomial(self.nvars, e, c)
-            if gap:
-                term = term * sumvars ** gap
-            total = total + term
-        return total
-
     # -- evaluation ------------------------------------------------------
 
     def eval_exact(self, point: list[Fraction]) -> Fraction:

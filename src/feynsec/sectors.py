@@ -2,9 +2,10 @@
 numerical pipeline from a Feynman graph to its Laurent coefficients.
 
 Sectors are :class:`~feynsec.expansion.SectorIntegrand` values, the exact
-integrand type that pole extraction and series expansion in
-:mod:`feynsec.expansion` also use; it is re-exported here.  The strategy
-steering the blow-ups lives in :mod:`feynsec.hironaka`.
+integrand type that :func:`~feynsec.graphs.feynman_parametrize` returns and
+that pole extraction and series expansion in :mod:`feynsec.expansion` also
+use; it is re-exported here.  The strategy steering the blow-ups lives in
+:mod:`feynsec.hironaka`.
 """
 
 from __future__ import annotations
@@ -16,21 +17,14 @@ from . import hironaka
 from .epsilon import EpsExponent
 from .errors import DomainError, FeynsecError, StrategyError
 from .expansion import FiniteIntegrand, SectorIntegrand, extract_poles, expand_piece
-from .graphs import FeynmanGraph, GeneralIntegral, Kinematics, feynman_parametrize
+from .graphs import FeynmanGraph, Kinematics, feynman_parametrize
 from .mcint import MCConfig, EpsSeries, integrate
 from .poly import Poly
 
 ITERATION_CAP = 10_000
 
 
-def homogenize(j: GeneralIntegral) -> GeneralIntegral:
-    """Pad every factor to homogeneity with powers of the variable sum;
-    an identity on graph-derived input."""
-    factors = [(q.homogenize_on_simplex(), exp) for q, exp in j.factors]
-    return GeneralIntegral(nvars=j.nvars, monomials=list(j.monomials), factors=factors)
-
-
-def _extract_content(nvars: int, monomials: list, q: Poly, exp: EpsExponent):
+def _extract_content(monomials: list, q: Poly, exp: EpsExponent):
     """Move the full monomial content of q into the per-variable exponents."""
     content = q.content_exponents()
     if any(content):
@@ -41,24 +35,22 @@ def _extract_content(nvars: int, monomials: list, q: Poly, exp: EpsExponent):
     return q
 
 
-def primary_sectors(j: GeneralIntegral) -> list[SectorIntegrand]:
+def primary_sectors(j: SectorIntegrand) -> list[SectorIntegrand]:
     """Split the simplex integral into one hypercube sector per variable.
 
-    In sector l the variables x_i (i != l) are rescaled by x_l, the delta
-    constraint fixes the x_l integral exactly by homogeneity, and any
-    residual scaling weight is kept as a factor (1 + sum of the remaining
-    variables) with the exact exponent; for graph integrands that exponent
-    vanishes identically.
+    ``j`` is the projective integrand of ``feynman_parametrize``: every
+    factor is homogeneous and the whole integrand has degree -n in its n
+    variables.  In sector l the variables x_i (i != l) are rescaled by x_l,
+    and by that homogeneity the delta constraint fixes the x_l integral
+    exactly.  Any other integrand raises DomainError.
     """
-    for q, _exp in j.factors:
-        if not q.is_homogeneous():
-            raise FeynsecError("primary sectors need homogeneous factors (run homogenize)")
     n = j.nvars
-    residual = EpsExponent(n, 0)
-    for m in j.monomials:
-        residual = residual + m
-    for q, exp in j.factors:
-        residual = residual + exp.scale(q.degree())
+    if not all(q.is_homogeneous() for q, _exp in j.factors):
+        raise DomainError("primary sectors need homogeneous factors")
+    weight = sum((exp.scale(q.degree()) for q, exp in j.factors),
+                 sum(j.monomials, EpsExponent(n, 0)))
+    if weight.a or weight.b:
+        raise DomainError(f"integrand is not projective: scaling weight {weight}, not 0")
     sectors = []
     for l in range(n):
         live = [i for i in range(n) if i != l]
@@ -68,16 +60,11 @@ def primary_sectors(j: GeneralIntegral) -> list[SectorIntegrand]:
             q_l = q.set_one_and_drop(l)
             if not q_l:
                 raise DomainError("factor vanishes identically in a primary sector")
-            q_l = _extract_content(n - 1, monomials, q_l, exp)
+            q_l = _extract_content(monomials, q_l, exp)
             if q_l.is_constant() and q_l.constant_term() == 1:
                 continue
             factors.append((q_l, exp))
-        if residual.a or residual.b:
-            one_plus_sum = Poly.constant(n - 1, 1)
-            for i in range(n - 1):
-                one_plus_sum = one_plus_sum + Poly.variable(n - 1, i)
-            factors.append((one_plus_sum, -residual))
-        sectors.append(SectorIntegrand(monomials=tuple(monomials), factors=tuple(factors)))
+        sectors.append(SectorIntegrand(tuple(monomials), tuple(factors), j.pref))
     return sectors
 
 
@@ -99,7 +86,7 @@ def decompose_step(sector: SectorIntegrand, subset, l: int) -> SectorIntegrand:
     factors = []
     for q, exp in sector.factors:
         had_constant = q.constant_term() != 0
-        q2 = _extract_content(sector.nvars, monomials, q.rescale_subset(s, l), exp)
+        q2 = _extract_content(monomials, q.rescale_subset(s, l), exp)
         if had_constant:
             assert q2.constant_term() != 0, "substitution destroyed monomialised form"
         factors.append((q2, exp))

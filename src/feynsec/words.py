@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Hashable, Iterable
 
-from .errors import DomainError
+from .errors import DomainError, InputError
 
 Letter = Hashable
 Word = tuple  # tuple of letters
@@ -327,7 +327,7 @@ def lyndon_words(alphabet: Iterable[Letter], max_length: int) -> list[Word]:
     The alphabet iterable fixes the letter order.
     """
     if max_length < 1:
-        raise ValueError("max length must be at least 1")
+        raise InputError(f"max length must be at least 1, not {max_length}")
     letters = list(alphabet)
     index = {l: i for i, l in enumerate(letters)}
     out: list[Word] = []

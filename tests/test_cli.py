@@ -114,6 +114,15 @@ def test_malformed_thread_count_exit_2(jobfile, capsys, monkeypatch, value):
     assert "FEYNSEC_THREADS" in captured.err
 
 
+@pytest.mark.parametrize("samples", ["1", "0", "-5"])
+def test_malformed_sample_count_exit_2(jobfile, capsys, samples):
+    rc = main(["evaluate", jobfile(BUBBLE_JOB), "--samples", samples])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "--samples" in captured.err
+
+
 def test_strategy_flag_is_gone(jobfile, capsys):
     for args in (["evaluate", jobfile(BUBBLE_JOB)], ["decompose", jobfile(BUBBLE_JOB)],
                  ["game", "--points", "2,0;0,2"]):
@@ -143,6 +152,19 @@ def test_game_subcommand(capsys):
 def test_game_bad_points(capsys):
     rc = main(["game", "--points", "nope"])
     assert rc == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["game", "--points", "2,0;0,2", "--b-policy", "bogus"])
+    assert exc.value.code == 2
+    assert "--b-policy" in capsys.readouterr().err
+
+
+def test_game_without_certified_move_exit_4(capsys):
+    # no subset of this position has a certified move
+    rc = main(["game", "--points", "0,6,2,6,7,4;3,7,8,9,6,12;4,8,7,10,0,9;8,9,1,12,7,2"])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == ""
+    assert "strategy failure" in captured.err
 
 
 def test_words_subcommands(capsys):
@@ -175,6 +197,12 @@ def test_polylog_subcommand(capsys):
 def test_malformed_integer_exits_2(argv, capsys):
     assert main(argv) == 2
     assert "not an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("length", ["0", "-1"])
+def test_lyndon_length_below_one_exits_2(length, capsys):
+    assert main(["words", "lyndon", "ab", length]) == 2
+    assert "at least 1" in capsys.readouterr().err
 
 
 def test_polylog_li2_prints_requested_tolerance(capsys):

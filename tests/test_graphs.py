@@ -231,7 +231,7 @@ def test_parametrize_exponents_bubble():
     (u, exp_u), (f, exp_f) = p.factors
     assert exp_u == EpsExponent(-2, 2)
     assert exp_f == EpsExponent(0, -1)
-    assert p.monomials == [EpsExponent(0, 0), EpsExponent(0, 0)]
+    assert p.monomials == (EpsExponent(0, 0), EpsExponent(0, 0))
 
 
 def test_parametrize_exponents_tadpole():
@@ -254,7 +254,7 @@ def test_powered_propagator_changes_exponents():
     g = FeynmanGraph([(0, 1, 0, 2), (0, 1, 0, 1)], externals=[(0, "p1"), (1, "p2")])
     kin = Kinematics({"p1": Fraction(-1)}, labels=g.external_labels())
     p = feynman_parametrize(g, kin, m=2)
-    assert p.monomials == [EpsExponent(1, 0), EpsExponent(0, 0)]
+    assert p.monomials == (EpsExponent(1, 0), EpsExponent(0, 0))
     (_, exp_u), (_, exp_f) = p.factors
     assert exp_u == EpsExponent(3 - 4, 2)
     assert exp_f == EpsExponent(2 - 3, -1)

@@ -49,6 +49,11 @@ def test_determinism_bit_identical():
     assert a == b
     c = integrate(lambda x: np.sin(x[:, 0]) * x[:, 1], 2, cfg, 12)
     assert c != a  # distinct substreams
+    # every seed is a distinct 64-bit key, also negative ones and ones above 2^63
+    for s1, s2 in ((-1, 0), (1 << 63, (1 << 63) + 5)):
+        d1 = integrate(lambda x: np.sin(x[:, 0]) * x[:, 1], 2, MCConfig(50_000, s1), 11)
+        d2 = integrate(lambda x: np.sin(x[:, 0]) * x[:, 1], 2, MCConfig(50_000, s2), 11)
+        assert d1 != d2, (s1, s2)
 
 
 def test_config_validation():

@@ -59,15 +59,6 @@ def test_set_one_and_drop_merges():
     assert q == Poly(1, {(0,): 2, (1,): 3})
 
 
-def test_homogenize_on_simplex():
-    p = Poly(2, {(0, 0): 1, (1, 0): 1})  # 1 + x0
-    h = p.homogenize_on_simplex()
-    assert h == Poly(2, {(1, 0): 2, (0, 1): 1})
-    # values agree where x0 + x1 = 1
-    for t in (Fraction(1, 3), Fraction(2, 7)):
-        assert h.eval_exact([t, 1 - t]) == p.eval_exact([t, 1 - t])
-
-
 def test_derivative_and_eval():
     p = Poly(2, {(2, 1): Fraction(3, 2)})
     assert p.derivative(0) == Poly(2, {(1, 1): 3})

@@ -14,13 +14,12 @@ from scipy import integrate as sci
 from scipy.special import roots_legendre
 
 from feynsec.epsilon import EpsExponent, EpsRat
-from feynsec.errors import DivergenceError
 from feynsec.expansion import FiniteIntegrand, expand_piece, extract_poles
 from feynsec.graphs import bubble, one_mass_triangle, tadpole, feynman_parametrize
 from feynsec.mcint import MCConfig
 from feynsec.poly import Poly
-from feynsec.sectors import (GeneralIntegral, SectorIntegrand, decompose_graph,
-                             homogenize, iterate_decomposition,
+from feynsec.errors import DivergenceError, DomainError
+from feynsec.sectors import (SectorIntegrand, decompose_graph, iterate_decomposition,
                              decompose_step, pipeline, primary_sectors)
 
 Z2 = math.pi ** 2 / 6
@@ -93,35 +92,11 @@ def series_coefficients(sector, order):
     return out
 
 
-# -- homogenize ------------------------------------------------------------------
-
-def test_homogenize_example_constant():
-    j = GeneralIntegral(2, [EpsExponent(0, 0)] * 2,
-                        [(Poly(2, {(0, 0): 1, (1, 0): 1}), EpsExponent(1, 0))])
-    h = homogenize(j)
-    assert h.factors[0][0] == Poly(2, {(1, 0): 2, (0, 1): 1})
-
-
-def test_homogenize_graph_polynomials_unchanged():
-    g, kin = bubble()
-    j = feynman_parametrize(g, kin)
-    h = homogenize(j)
-    assert [q for q, _ in h.factors] == [q for q, _ in j.factors]
-
-
-def test_homogenize_mixed_degrees_sampled_equality():
-    p = Poly(2, {(2, 0): 1, (0, 1): 1})  # x0^2 + x1
-    h = p.homogenize_on_simplex()
-    assert h == Poly(2, {(2, 0): 1, (1, 1): 1, (0, 2): 1})
-    for t in (Fraction(1, 4), Fraction(2, 3), Fraction(9, 10)):
-        assert h.eval_exact([t, 1 - t]) == p.eval_exact([t, 1 - t])
-
-
 # -- primary sectors --------------------------------------------------------------
 
 def test_primary_sectors_bubble_structure():
     g, kin = bubble()
-    j = homogenize(feynman_parametrize(g, kin))
+    j = feynman_parametrize(g, kin)
     sectors = primary_sectors(j)
     assert len(sectors) == 2
     for s in sectors:
@@ -132,7 +107,7 @@ def test_primary_sectors_bubble_structure():
 
 def test_primary_sectors_bubble_numeric_at_eps0():
     g, kin = bubble()
-    j = homogenize(feynman_parametrize(g, kin))
+    j = feynman_parametrize(g, kin)
     values = [sector_quadrature(s, 0.0) for s in primary_sectors(j)]
     assert values[0] == pytest.approx(0.5, rel=1e-8)
     assert sum(values) == pytest.approx(1.0, rel=1e-8)
@@ -140,7 +115,7 @@ def test_primary_sectors_bubble_numeric_at_eps0():
 
 def test_primary_sectors_tadpole_trivial():
     g, kin = tadpole()
-    j = homogenize(feynman_parametrize(g, kin))
+    j = feynman_parametrize(g, kin)
     sectors = primary_sectors(j)
     assert len(sectors) == 1
     assert sectors[0].nvars == 0
@@ -149,7 +124,7 @@ def test_primary_sectors_tadpole_trivial():
 
 def test_primary_sectors_triangle_structure_and_sum():
     g, kin = one_mass_triangle()
-    j = homogenize(feynman_parametrize(g, kin))
+    j = feynman_parametrize(g, kin)
     sectors = primary_sectors(j)
     assert len(sectors) == 3
     # the sector pivoting on the third edge shows the double singularity
@@ -170,29 +145,16 @@ def test_primary_sectors_triangle_structure_and_sum():
     assert total == pytest.approx(expected, rel=1e-6)
 
 
-def test_primary_sectors_general_residual_weight():
-    """Non graph-like scaling: the residual (1 + sum t) factor keeps the
-    sector sum equal to the simplex integral."""
-    j = homogenize(GeneralIntegral(
-        2, [EpsExponent(0, 1), EpsExponent(0, 0)],
-        [(Poly(2, {(0, 0): 1, (1, 0): 1}), EpsExponent(-1, 1))]))
-    eps = 1.0 / 3.0
-    sectors = primary_sectors(j)
-    total = sum(sector_quadrature(s, eps) for s in sectors)
-
-    def direct(x0):
-        # x1 = 1 - x0 on the simplex; homogenized factor is 2 x0 + x1
-        return x0 ** (eps) * (2 * x0 + (1 - x0)) ** (-1 + eps)
-
-    expected, _ = sci.quad(direct, 0, 1, epsabs=1e-11, epsrel=1e-11)
-    assert total == pytest.approx(expected, rel=1e-6)
-
-
 def test_primary_sectors_requires_homogeneous():
-    j = GeneralIntegral(2, [EpsExponent(0, 0)] * 2,
-                        [(Poly(2, {(0, 0): 1, (1, 0): 1}), EpsExponent(1, 0))])
-    with pytest.raises(Exception):
-        primary_sectors(j)
+    """Only a projective integrand splits; anything else raises DomainError."""
+    flat = (EpsExponent(0, 0),) * 2
+    inhomogeneous = SectorIntegrand(flat, ((Poly(2, {(0, 0): 1, (1, 0): 1}), EpsExponent(1, 0)),))
+    with pytest.raises(DomainError):
+        primary_sectors(inhomogeneous)
+    # homogeneous factor, but the integrand has degree 1, not -2
+    not_projective = SectorIntegrand(flat, ((Poly(2, {(1, 0): 1, (0, 1): 1}), EpsExponent(1, 0)),))
+    with pytest.raises(DomainError):
+        primary_sectors(not_projective)
 
 
 # -- decompose_step ---------------------------------------------------------------
@@ -229,7 +191,7 @@ def test_decompose_step_partial_subset():
 
 def test_iterate_monomialised_unchanged():
     g, kin = bubble()
-    j = homogenize(feynman_parametrize(g, kin))
+    j = feynman_parametrize(g, kin)
     s = primary_sectors(j)[0]
     out = iterate_decomposition(s)
     assert out == [s]
