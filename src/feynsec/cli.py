@@ -12,15 +12,18 @@ Graph job files are UTF-8 JSON documents:
     }
 
 Rational values are strings "p/q" or integer strings with an optional
-leading minus.  Invariant keys are comma-joined sorted label lists.  Exit
-codes: 0 success, 2 malformed input, 3 kinematics/domain error, 4 strategy
-failure.
+leading minus.  Vertices, powers, "dim_anchor" and "order" are integers
+(a JSON integer, an integral number or an integer string); "power" and
+"dim_anchor" are at least 1.  Invariant keys are comma-joined sorted label
+lists.  Exit codes: 0 success, 2 malformed input, 3 kinematics/domain
+error, 4 strategy failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -53,6 +56,26 @@ def parse_rational(text) -> Fraction:
         raise InputError(f"not a rational value: {text!r}") from exc
 
 
+def _job_int(value, field: str, least: int | None = None) -> int:
+    """An integer field of a job file; a bool, a non-integral number or a
+    non-numeric string raises InputError."""
+    result = None
+    if isinstance(value, int) and not isinstance(value, bool):
+        result = value
+    elif isinstance(value, float) and value.is_integer():
+        result = int(value)
+    elif isinstance(value, str):
+        try:
+            result = int(value)
+        except ValueError:
+            pass
+    if result is None:
+        raise InputError(f"{field} must be an integer, not {value!r}")
+    if least is not None and result < least:
+        raise InputError(f"{field} must be at least {least}, not {result}")
+    return result
+
+
 def load_job(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -65,18 +88,24 @@ def load_job(path: str) -> dict:
     if not isinstance(doc, dict) or "edges" not in doc:
         raise InputError(f"{path}: expected an object with an 'edges' array")
     try:
-        edges = [(int(e["from"]), int(e["to"]), parse_rational(e.get("mass2", "0")),
-                  int(e.get("power", 1))) for e in doc["edges"]]
-        externals = [(int(x["vertex"]), str(x["label"])) for x in doc.get("external", [])]
+        edges = [(_job_int(e["from"], "edge 'from'"), _job_int(e["to"], "edge 'to'"),
+                  parse_rational(e.get("mass2", "0")),
+                  _job_int(e.get("power", 1), "edge 'power'", least=1)) for e in doc["edges"]]
+        externals = [(_job_int(x["vertex"], "external 'vertex'"), str(x["label"]))
+                     for x in doc.get("external", [])]
         invariants = {str(k): parse_rational(v) for k, v in doc.get("invariants", {}).items()}
+        dim_anchor = _job_int(doc.get("dim_anchor", 2), "dim_anchor", least=1)
+        order = _job_int(doc.get("order", 0), "order")
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: malformed field: {exc}") from exc
     return {
         "edges": edges,
         "externals": externals,
         "invariants": invariants,
-        "dim_anchor": int(doc.get("dim_anchor", 2)),
-        "order": int(doc.get("order", 0)),
+        "dim_anchor": dim_anchor,
+        "order": order,
     }
 
 
@@ -239,6 +268,17 @@ def cmd_polylog(args) -> int:
     return 0
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of --rel-tol: a finite number above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, not {text!r}")
+    return value
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="feynsec",
                                      description="sector-decomposition evaluation of Feynman integrals")
@@ -274,7 +314,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("polylog", help="evaluate Li/G/Z/H/S expressions")
     p.add_argument("expression", help="prefix syntax, e.g. 'Li 2 0.5' or 'G 2,3 1'")
-    p.add_argument("--rel-tol", type=float, default=1e-10, dest="rel_tol")
+    p.add_argument("--rel-tol", type=_tolerance, default=1e-10, dest="rel_tol")
     p.set_defaults(func=cmd_polylog)
     return parser
 

@@ -47,7 +47,7 @@ class EpsExponent:
 
 def _trim(c: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     n = len(c)
-    while n > 1 and c[n - 1] == 0:
+    while n > 1 and not c[n - 1]:
         n -= 1
     return c[:n]
 
@@ -55,7 +55,7 @@ def _trim(c: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
 def _poly_mul(p: tuple[Fraction, ...], q: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     out = [Fraction(0)] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
-        if a == 0:
+        if not a:
             continue
         for j, b in enumerate(q):
             if b:
@@ -63,8 +63,17 @@ def _poly_mul(p: tuple[Fraction, ...], q: tuple[Fraction, ...]) -> tuple[Fractio
     return _trim(tuple(out))
 
 
+_FRACTION_ONE = Fraction(1)
+
+
 class EpsRat:
-    """Ratio of two polynomials in eps, exact coefficients."""
+    """Ratio of two polynomials in eps, exact coefficients.
+
+    ``num`` and ``den`` are tuples of Fractions, lowest order first, with no
+    trailing zeros beyond the first entry.  The public constructor converts
+    and trims its input; the operations build their results through
+    :meth:`_of`, which trusts them.
+    """
 
     __slots__ = ("num", "den")
 
@@ -75,16 +84,27 @@ class EpsRat:
             raise ZeroDivisionError("zero denominator in EpsRat")
 
     @classmethod
+    def _of(cls, num: tuple, den: tuple) -> "EpsRat":
+        """Trusted constructor: trimmed Fraction tuples, ``den`` not zero."""
+        r = object.__new__(cls)
+        r.num = num
+        r.den = den
+        return r
+
+    @classmethod
     def constant(cls, c) -> "EpsRat":
         return cls((Fraction(c),))
 
     @classmethod
     def linear_inverse(cls, a: int, b: int) -> "EpsRat":
         """1 / (a + b*eps)."""
-        return cls((Fraction(1),), (Fraction(a), Fraction(b)))
+        den = _trim((Fraction(a), Fraction(b)))
+        if den == (0,):
+            raise ZeroDivisionError("zero denominator in EpsRat")
+        return cls._of((_FRACTION_ONE,), den)
 
     def is_zero(self) -> bool:
-        return self.num == (Fraction(0),)
+        return len(self.num) == 1 and not self.num[0]
 
     def __eq__(self, other):
         """Equal as rational functions: num1 * den2 == num2 * den1."""
@@ -101,29 +121,32 @@ class EpsRat:
 
     def __mul__(self, other) -> "EpsRat":
         if isinstance(other, EpsRat):
-            return EpsRat(_poly_mul(self.num, other.num), _poly_mul(self.den, other.den))
-        return EpsRat(tuple(c * Fraction(other) for c in self.num), self.den)
+            return EpsRat._of(_poly_mul(self.num, other.num), _poly_mul(self.den, other.den))
+        k = other if type(other) is Fraction else Fraction(other)
+        return EpsRat._of(tuple(c * k for c in self.num) if k else (Fraction(0),), self.den)
 
     __rmul__ = __mul__
 
     def mul_linear(self, a: int, b: int) -> "EpsRat":
         """Multiply by the polynomial (a + b*eps)."""
-        return EpsRat(_poly_mul(self.num, (Fraction(a), Fraction(b))), self.den)
+        if type(a) is not int or type(b) is not int:
+            a, b = Fraction(a), Fraction(b)
+        return EpsRat._of(_poly_mul(self.num, (a, b)), self.den)
 
     def lowest_order(self) -> int:
         """Order in eps of the leading Laurent term (num valuation - den valuation)."""
         if self.is_zero():
             raise ValueError("zero has no Laurent order")
-        vn = next(i for i, c in enumerate(self.num) if c != 0)
-        vd = next(i for i, c in enumerate(self.den) if c != 0)
+        vn = next(i for i, c in enumerate(self.num) if c)
+        vd = next(i for i, c in enumerate(self.den) if c)
         return vn - vd
 
     def laurent(self, upto: int) -> dict[int, Fraction]:
         """Exact Laurent coefficients from the leading order through eps^upto."""
         if self.is_zero():
             return {}
-        vn = next(i for i, c in enumerate(self.num) if c != 0)
-        vd = next(i for i, c in enumerate(self.den) if c != 0)
+        vn = next(i for i, c in enumerate(self.num) if c)
+        vd = next(i for i, c in enumerate(self.den) if c)
         low = vn - vd
         if upto < low:
             return {}

@@ -33,7 +33,6 @@ import numpy as np
 
 from .epsilon import EpsExponent, EpsRat
 from .errors import DivergenceError, FeynsecError
-from .poly import Poly
 
 _ONE = EpsRat.constant(1)
 _INTEGRATED = EpsExponent(0, 0)
@@ -115,7 +114,7 @@ def _set_zero_terms(terms, i):
                 if exp.a:
                     pref = pref * (c ** exp.a)
                 if exp.b:
-                    new.append((Poly.constant(q.nvars, c), EpsExponent(0, exp.b)))
+                    new.append((q0, EpsExponent(0, exp.b)))
                 continue
             new.append((q0, exp))
         if not dead:

@@ -198,7 +198,7 @@ def u_polynomial(graph: FeynmanGraph) -> Poly:
     coeffs = {}
     for tree in spanning_trees(graph):
         exps = tuple(1 if i in chord(graph, tree) else 0 for i in range(n))
-        coeffs[exps] = Fraction(1)
+        coeffs[exps] = 1
     poly = Poly(n, coeffs)
     if not poly:
         raise TopologyError("graph has no spanning tree")

@@ -1,14 +1,19 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-Monomials are exponent tuples of fixed length ``nvars``; coefficients are
-``fractions.Fraction``.  All structural stages of the pipeline (graph
-polynomials, sector substitutions, Taylor subtractions) run on this type, so
-nothing is rounded before the Monte Carlo stage.
+Monomials are exponent tuples of fixed length ``nvars``.  A coefficient is
+an ``int`` when it is integral and a ``fractions.Fraction`` otherwise, so
+polynomials with integer coefficients - the graph polynomials at integer
+invariants and masses, and everything the sector substitutions and
+derivatives make of them - stay on integer arithmetic.  All structural
+stages of the pipeline (graph polynomials, sector substitutions, Taylor
+subtractions) run on this type, so nothing is rounded before the Monte Carlo
+stage.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -16,16 +21,18 @@ import numpy as np
 RationalLike = int | Fraction
 
 
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    return Fraction(c)
+def _canonical(c: RationalLike) -> RationalLike:
+    """An int or Fraction value as the coefficient type: int if integral."""
+    return c.numerator if c.denominator == 1 else c
 
 
 class Poly:
     """Immutable sparse polynomial over the rationals.
 
-    ``coeffs`` maps exponent tuples (length ``nvars``) to nonzero Fractions.
+    ``coeffs`` maps exponent tuples (length ``nvars``) to nonzero
+    coefficients: ``int`` where integral, ``Fraction`` otherwise.  The
+    public constructor validates and canonicalises its input; the internal
+    operations build their results through :meth:`_of`, which trusts them.
     """
 
     __slots__ = ("nvars", "coeffs", "_hash", "_key")
@@ -35,7 +42,7 @@ class Poly:
         clean: dict[tuple[int, ...], Fraction] = {}
         if coeffs:
             for exps, c in coeffs.items():
-                c = _as_fraction(c)
+                c = c if type(c) is Fraction else Fraction(c)
                 if c == 0:
                     continue
                 exps = tuple(int(e) for e in exps)
@@ -43,10 +50,22 @@ class Poly:
                     raise ValueError(f"exponent tuple {exps} does not have {nvars} entries")
                 if any(e < 0 for e in exps):
                     raise ValueError(f"negative exponent in {exps}")
-                clean[exps] = clean.get(exps, Fraction(0)) + c
-        self.coeffs = {e: c for e, c in clean.items() if c != 0}
+                clean[exps] = clean.get(exps, 0) + c
+        self.coeffs = {e: _canonical(c) for e, c in clean.items() if c != 0}
         self._hash = None
         self._key = None
+
+    @classmethod
+    def _of(cls, nvars: int, coeffs: dict) -> "Poly":
+        """Trusted constructor: ``coeffs`` is already canonical (exponent
+        tuples of length ``nvars``, nonzero int-or-Fraction coefficients,
+        integral ones as int) and is taken over, not copied."""
+        p = object.__new__(cls)
+        p.nvars = nvars
+        p.coeffs = coeffs
+        p._hash = None
+        p._key = None
+        return p
 
     # -- constructors -------------------------------------------------
 
@@ -116,17 +135,20 @@ class Poly:
             raise ValueError("variable count mismatch")
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            s = out.get(e, Fraction(0)) + c
-            if s == 0:
-                out.pop(e, None)
+            if e in out:
+                s = out[e] + c
+                if s:
+                    out[e] = _canonical(s)
+                else:
+                    del out[e]
             else:
-                out[e] = s
-        return Poly(self.nvars, out)
+                out[e] = c
+        return Poly._of(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {e: -c for e, c in self.coeffs.items()})
+        return Poly._of(self.nvars, {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other) -> "Poly":
         if not isinstance(other, Poly):
@@ -135,33 +157,39 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly):
-            return Poly(self.nvars, {e: c * _as_fraction(other) for e, c in self.coeffs.items()})
+            k = _canonical(Fraction(other))
+            out = {}
+            if k:
+                for e, c in self.coeffs.items():
+                    out[e] = _canonical(c * k)
+            return Poly._of(self.nvars, out)
         if self.nvars != other.nvars:
             raise ValueError("variable count mismatch")
-        out: dict[tuple[int, ...], Fraction] = {}
+        out = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
+                e = tuple(map(add, e1, e2))
+                s = out.get(e, 0) + c1 * c2
+                if s:
                     out[e] = s
-        return Poly(self.nvars, out)
+                else:
+                    del out[e]
+        return Poly._of(self.nvars, {e: _canonical(c) for e, c in out.items()})
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative power")
-        result = Poly.constant(self.nvars, 1)
+        result = None
         base = self
         while k:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if k:
+                base = base * base
+        return Poly.constant(self.nvars, 1) if result is None else result
 
     # -- structure -----------------------------------------------------
 
@@ -175,7 +203,9 @@ class Poly:
         return len(degs) <= 1
 
     def constant_term(self) -> Fraction:
-        return self.coeffs.get(tuple([0] * self.nvars), Fraction(0))
+        """The constant coefficient, always as a Fraction, so that callers'
+        powers of it (negative ones too) stay exact."""
+        return Fraction(self.coeffs.get(tuple([0] * self.nvars), 0))
 
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.coeffs)
@@ -184,8 +214,7 @@ class Poly:
         """Componentwise minimum exponent over the support (zero poly -> zeros)."""
         if not self.coeffs:
             return tuple([0] * self.nvars)
-        mins = [min(e[i] for e in self.coeffs) for i in range(self.nvars)]
-        return tuple(mins)
+        return tuple(map(min, zip(*self.coeffs)))
 
     def divide_monomial(self, exps: tuple[int, ...]) -> "Poly":
         out = {}
@@ -194,7 +223,7 @@ class Poly:
             if any(x < 0 for x in d):
                 raise ValueError("monomial does not divide polynomial")
             out[d] = c
-        return Poly(self.nvars, out)
+        return Poly._of(self.nvars, out)
 
     def support(self) -> list[tuple[int, ...]]:
         return sorted(self.coeffs)
@@ -205,45 +234,47 @@ class Poly:
         """Apply x_i -> x_l * x_i for all i in ``subset`` except ``l`` itself.
 
         On exponent vectors this sends m_l to the sum of m_j over the subset,
-        leaving all other entries alone.
+        leaving all other entries alone.  That map is injective (the old m_l
+        is the new one minus the others), so no two terms merge.
         """
         sub = set(subset)
         if l not in sub:
             raise ValueError("pivot must belong to the substituted subset")
-        out: dict[tuple[int, ...], Fraction] = {}
+        out = {}
         for e, c in self.coeffs.items():
             m = list(e)
-            m[l] = sum(e[j] for j in sub)
-            key = tuple(m)
-            out[key] = out.get(key, Fraction(0)) + c
-        return Poly(self.nvars, out)
+            m[l] = sum(map(e.__getitem__, sub))
+            out[tuple(m)] = c
+        return Poly._of(self.nvars, out)
 
     def set_one_and_drop(self, i: int) -> "Poly":
         """Substitute x_i = 1 and remove the variable slot (nvars shrinks by one)."""
-        out: dict[tuple[int, ...], Fraction] = {}
+        out = {}
         for e, c in self.coeffs.items():
             key = e[:i] + e[i + 1:]
-            s = out.get(key, Fraction(0)) + c
-            if s == 0:
-                out.pop(key, None)
+            if key in out:
+                s = out[key] + c
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
             else:
-                out[key] = s
-        return Poly(self.nvars - 1, out)
+                out[key] = c
+        return Poly._of(self.nvars - 1, {e: _canonical(c) for e, c in out.items()})
 
     def set_zero(self, i: int) -> "Poly":
         """Substitute x_i = 0 (variable slot is kept for index stability)."""
-        out = {e: c for e, c in self.coeffs.items() if e[i] == 0}
-        return Poly(self.nvars, out)
+        return Poly._of(self.nvars, {e: c for e, c in self.coeffs.items() if e[i] == 0})
 
     def derivative(self, i: int) -> "Poly":
-        out: dict[tuple[int, ...], Fraction] = {}
+        out = {}
         for e, c in self.coeffs.items():
-            if e[i] == 0:
-                continue
-            m = list(e)
-            m[i] -= 1
-            out[tuple(m)] = c * e[i]
-        return Poly(self.nvars, out)
+            k = e[i]
+            if k:
+                m = list(e)
+                m[i] = k - 1
+                out[tuple(m)] = _canonical(c * k)
+        return Poly._of(self.nvars, out)
 
     # -- evaluation ------------------------------------------------------
 

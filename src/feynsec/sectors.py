@@ -10,7 +10,6 @@ use; it is re-exported here.  The strategy steering the blow-ups lives in
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from . import hironaka
@@ -183,6 +182,7 @@ def pipeline(graph: FeynmanGraph, kin: Kinematics, m: int = 2, target_order: int
         return integrate(fi.compile(), dim, cfg, stream_id)
 
     if threads > 1 and len(jobs) > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             estimates = list(pool.map(run, jobs))
     else:

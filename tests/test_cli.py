@@ -123,6 +123,50 @@ def test_malformed_sample_count_exit_2(jobfile, capsys, samples):
     assert "--samples" in captured.err
 
 
+def _with_field(field, value):
+    """BUBBLE_JOB with one integer field replaced: a top-level key, or a key
+    of the first edge or the first external leg."""
+    doc = json.loads(json.dumps(BUBBLE_JOB))
+    if field in ("from", "to", "power"):
+        doc["edges"][0][field] = value
+    elif field == "vertex":
+        doc["external"][0][field] = value
+    else:
+        doc[field] = value
+    return doc
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dim_anchor", "abc"), ("dim_anchor", True), ("dim_anchor", 2.5),
+    ("order", "x"), ("order", 0.5), ("order", False),
+    ("power", 1.5), ("power", True), ("power", "one"),
+    ("from", 0.5), ("to", "1.0"), ("vertex", True), ("vertex", 1e-3),
+])
+def test_job_integer_field_rejects_non_integer_exit_2(jobfile, capsys, field, value):
+    rc = main(["evaluate", jobfile(_with_field(field, value)), "--samples", "64"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "must be an integer" in captured.err
+
+
+@pytest.mark.parametrize("field", ["dim_anchor", "power"])
+def test_job_dim_anchor_and_power_below_one_exit_2(jobfile, capsys, field):
+    rc = main(["evaluate", jobfile(_with_field(field, 0)), "--samples", "64"])
+    assert rc == 2
+    assert "at least 1" in capsys.readouterr().err
+
+
+def test_job_integer_fields_accept_integral_numbers_and_strings(jobfile, capsys):
+    doc = _with_field("order", "1")
+    doc["dim_anchor"] = 2.0
+    doc["edges"][1]["power"] = "1"
+    assert main(["decompose", jobfile(doc)]) == 0
+    assert main(["decompose", jobfile(BUBBLE_JOB)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:len(out) // 2] == out[len(out) // 2:]
+
+
 def test_strategy_flag_is_gone(jobfile, capsys):
     for args in (["evaluate", jobfile(BUBBLE_JOB)], ["decompose", jobfile(BUBBLE_JOB)],
                  ["game", "--points", "2,0;0,2"]):
@@ -208,6 +252,16 @@ def test_lyndon_length_below_one_exits_2(length, capsys):
 def test_polylog_li2_prints_requested_tolerance(capsys):
     assert main(["polylog", "Li2 0.5", "--rel-tol", "1e-3"]) == 0
     assert capsys.readouterr().out.strip() == "0.5822405264650126 (rel_tol 0.001)"
+
+
+@pytest.mark.parametrize("rel_tol", ["-1", "nan", "0", "inf"])
+def test_polylog_rel_tol_must_be_finite_and_positive(rel_tol, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["polylog", "G 1 0.5", "--rel-tol", rel_tol])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--rel-tol" in captured.err
 
 
 def test_polylog_li2_rejects_tolerance_below_its_accuracy(capsys):

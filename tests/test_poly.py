@@ -88,3 +88,54 @@ def test_order_is_total_and_independent_of_construction():
         for b in polys:
             assert (a < b) + (b < a) + (a == b) == 1
     assert len({q: None for q in polys + rebuilt}) == len(polys)
+
+
+def _random_poly(rng, n):
+    """Small exponents and coefficients, half of them Fractions (some of
+    them integral), so that sums and products cancel and merge often."""
+    coeffs = {}
+    for _ in range(rng.randint(0, 6)):
+        exps = tuple(rng.randint(0, 2) for _ in range(n))
+        c = rng.choice([rng.randint(-2, 2), Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3]))])
+        coeffs[exps] = c
+    return Poly(n, coeffs)
+
+
+def _assert_canonical(p):
+    assert p == Poly(p.nvars, dict(p.coeffs))
+    for c in p.coeffs.values():
+        assert c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+    assert type(p.constant_term()) is Fraction
+
+
+def test_internal_operations_give_canonical_coefficients():
+    """Every operation's result is what the validating constructor makes of
+    its coefficients: no zeros, integral values as int (never a bool or an
+    integral Fraction), the rest as Fraction."""
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        p, q = _random_poly(rng, n), _random_poly(rng, n)
+        i = rng.randrange(n)
+        subset = sorted(rng.sample(range(n), rng.randint(1, n)))
+        scalar = rng.choice([0, 3, -1, True, Fraction(2, 1), Fraction(1, 2), Fraction(-4, 3)])
+        results = [p + q, p - q, p - p, p + 1, 1 + -p, -p, p * q, p * scalar, scalar * p,
+                   p ** rng.randint(0, 3), p.rescale_subset(subset, rng.choice(subset)),
+                   p.set_one_and_drop(i) if n > 1 else p, p.set_zero(i), p.derivative(i),
+                   p.divide_monomial(p.content_exponents())]
+        for r in results:
+            _assert_canonical(r)
+        assert p * q == q * p and (p + q) - q == p
+        assert p * scalar == p * Poly.constant(n, scalar)
+
+
+def test_integral_fraction_and_int_coefficients_are_one_value():
+    a = Poly(1, {(0,): Fraction(2)})
+    b = Poly(1, {(0,): 2})
+    assert a == b and hash(a) == hash(b)
+    assert type(a.coeffs[(0,)]) is int
+    assert type(Poly(1, {(1,): True}).coeffs[(1,)]) is int
+    assert Poly(1, {(0,): Fraction(1, 2), (1,): 1}) * 2 == Poly(1, {(0,): 1, (1,): 2})
+    c = Poly.constant(2, 3).constant_term()
+    assert type(c) is Fraction and type(c ** -2) is Fraction and c ** -2 == Fraction(1, 9)

@@ -5,6 +5,7 @@ fixed rational values of the regulator, with power substitutions removing
 integrable endpoint singularities.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -261,6 +262,54 @@ def test_decompose_graph_sector_counts():
     assert len(decompose_graph(g, kin)) == 268
 
 
+def _decompose_text(g, kin):
+    """The sectors as ``feynsec decompose`` prints them."""
+    lines = []
+    for s in decompose_graph(g, kin):
+        monos = ", ".join(str(m) for m in s.monomials)
+        factors = " ".join(f"({q.as_string()})^({exp})" for q, exp in s.factors)
+        lines.append(f"[{monos}] {factors}".rstrip())
+    return "\n".join(lines)
+
+
+def _terms_text(g, kin, order):
+    """Every normalised term of every (sector, order) FiniteIntegrand."""
+    lines = []
+    for si, s in enumerate(decompose_graph(g, kin)):
+        for o, fi in merged_integrands(extract_poles(s), s.nvars, order).items():
+            for t in fi.terms:
+                fp = " ".join(f"({q.as_string()})^{d}" for q, d in t.fpows)
+                fl = " ".join(f"log({q.as_string()})^{c}" for q, c in t.flogs)
+                lines.append(f"{si} {o} {t.coeff} {t.xpows} {t.xlogs} {fp} | {fl}")
+    return "\n".join(lines)
+
+
+def test_exact_stage_fingerprint():
+    """The exact stage is pinned to the text it produced when Poly
+    coefficients were all Fractions: the kite and double-box sectors, the
+    kite's terms at eps^0 and the double box's through eps^-2.  str() prints
+    an integral coefficient the same whether it is an int or a Fraction."""
+    from feynsec.graphs import FeynmanGraph, Kinematics
+
+    def sha(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    kite = _kite()
+    g = FeynmanGraph([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 4)],
+                     externals=[(0, "p1"), (2, "p2"), (3, "p3"), (5, "p4")])
+    invariants = {"p1": 0, "p2": 0, "p3": 0, "p4": 0, "p1,p4": -2, "p1,p2": -3}
+    dbox = (g, Kinematics({k: Fraction(v) for k, v in invariants.items()},
+                          labels=g.external_labels()))
+    assert sha(_decompose_text(*kite)) == \
+        "d865ab4c4d766648d4b0f47567b7ccbc0c09106037eb5c8586b2fb50c57e02ee"
+    assert sha(_decompose_text(*dbox)) == \
+        "9579253fc53c11aeb0fc07d1f315b63691e35509558633e97d1116e48588767b"
+    assert sha(_terms_text(*kite, 0)) == \
+        "3c907e7cd8a063d3cdf9b394f57b18c3ad47b5c8e026ecdc409bbe495e0dba50"
+    assert sha(_terms_text(*dbox, -2)) == \
+        "b72b2430ffae4579c7a7f19c2a4891ee2a0f74dce7fbcadc687f5dd95deaadf6"
+
+
 # -- extract_poles -------------------------------------------------------------------
 
 def test_extract_single_pole_exact():
@@ -450,6 +499,8 @@ def test_exactness_of_structural_stages():
         assert all(isinstance(c, Fraction) for c in s.pref.num + s.pref.den)
         for m in s.monomials:
             assert isinstance(m.a, int) and isinstance(m.b, int)
+        for q, _exp in s.factors:
+            assert all(type(c) in (int, Fraction) for c in q.coeffs.values())
         for piece in extract_poles(s):
             for c in piece.pref.num + piece.pref.den:
                 assert isinstance(c, Fraction)
